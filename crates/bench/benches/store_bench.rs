@@ -1,14 +1,23 @@
 //! Wall-clock benchmark for the on-disk segment store behind sclogd:
 //! append throughput into WAL-backed partitions, zone-map pruning
-//! versus a full scan on a narrow range query, and a cold boot from
-//! sealed segments versus re-running simulation and ingest (the boot
-//! path `--data` replaces).
+//! versus a full scan on a narrow range query, streaming `scan_with`
+//! consumers versus the materialise-and-sort `scan` they replaced on
+//! sclogd's read path, and a cold boot from sealed segments versus
+//! re-running simulation and ingest (the boot path `--data` replaces).
 //!
-//! Emits one JSON record per benchmark on stdout plus two derived
+//! Emits one JSON record per benchmark on stdout plus four derived
 //! records:
 //!   {"record":"prune_speedup"}  full-scan / pruned-scan median ratio
 //!                               on a one-day, one-system filter over
 //!                               a multi-day five-system store
+//!   {"record":"scan_agg"}       materialise+sort+fold / streaming
+//!                               fold median ratio for a per-category
+//!                               count over every record (the shape
+//!                               of sclogd's aggregate recompute)
+//!   {"record":"scan_limit"}     materialise+sort+take / streaming
+//!                               count + top-100 heap median ratio on
+//!                               a wide (survivors-only) filter — the
+//!                               shape of a truncated `/alerts` answer
 //!   {"record":"cold_boot"}      resimulate / cold-boot median ratio —
 //!                               how much faster a daemon boots from
 //!                               disk than from scratch
@@ -23,7 +32,7 @@ use sclog_filter::SpatioTemporalFilter;
 use sclog_obs::Recorder;
 use sclog_rules::RuleSet;
 use sclog_simgen::{generate, Scale};
-use sclog_store::{ScanFilter, SegmentStore, StoreConfig, StoreMetrics, StoredAlert};
+use sclog_store::{ScanFilter, SegmentStore, StoreConfig, StoreMetrics, StoredAlert, TopK};
 use sclog_types::json::JsonObject;
 use sclog_types::{
     AlertType, CategoryId, NodeId, Severity, SyslogSeverity, SystemId, Timestamp, ALL_SYSTEMS,
@@ -94,6 +103,22 @@ fn synthetic_records(store: &mut SegmentStore, rng: &mut Rng) -> Vec<StoredAlert
         }
     }
     records
+}
+
+/// Rows a truncated `/alerts` answer returns by default.
+const LIMIT: usize = 100;
+
+/// Prints a `{"record":name}` line: materialising / streaming medians.
+fn derived_ratio(name: &str, hits: u64, streaming_ns: u128, materialised_ns: u128) {
+    let speedup = materialised_ns as f64 / streaming_ns.max(1) as f64;
+    let mut obj = JsonObject::new();
+    obj.str("record", name)
+        .uint("hits", hits)
+        .uint("streaming_median_ns", streaming_ns as u64)
+        .uint("materialised_median_ns", materialised_ns as u64)
+        .num("speedup", speedup);
+    println!("{}", obj.finish());
+    eprintln!("store/{name}: streaming {speedup:.2}x the materialising scan ({hits} hits)");
 }
 
 fn bench_dir(name: &str) -> PathBuf {
@@ -193,6 +218,71 @@ fn main() {
         pruned_hits.len(),
         seed_store.record_count(),
     );
+
+    // ------------------------------- streaming consumers vs materialise
+    // The same answers two ways: a `scan_with` visitor that folds or
+    // keeps a bounded top-k as hits stream past, and the sorted `scan`
+    // followed by the same fold or take.
+    let categories = seed_store.catalog().categories.len();
+    let all = ScanFilter::all();
+    let count_streamed = || {
+        let mut counts = vec![0u64; categories];
+        seed_store
+            .scan_with(&all, true, &rec, &metrics, |r| {
+                counts[r.category.index()] += 1;
+            })
+            .expect("scan");
+        counts
+    };
+    let count_materialised = || {
+        let mut counts = vec![0u64; categories];
+        let (hits, _) = seed_store.scan(&all, true, &rec, &metrics).expect("scan");
+        for r in &hits {
+            counts[r.category.index()] += 1;
+        }
+        counts
+    };
+    assert_eq!(count_streamed(), count_materialised(), "folds must agree");
+    let (agg_ns, agg_sorted_ns) = group.bench_pair(
+        "scan_agg",
+        count_streamed,
+        "scan_agg_materialised",
+        count_materialised,
+    );
+    derived_ratio("scan_agg", seed_store.record_count(), agg_ns, agg_sorted_ns);
+
+    let wide = ScanFilter {
+        filtered: Some(true),
+        ..ScanFilter::all()
+    };
+    let top_streamed = || {
+        let mut top = TopK::new(LIMIT);
+        seed_store
+            .scan_with(&wide, true, &rec, &metrics, |r| top.offer(r))
+            .expect("scan");
+        (top.total(), top.into_sorted())
+    };
+    let top_materialised = || {
+        let (hits, _) = seed_store.scan(&wide, true, &rec, &metrics).expect("scan");
+        (
+            hits.len() as u64,
+            hits.into_iter().take(LIMIT).collect::<Vec<_>>(),
+        )
+    };
+    let (wide_hits, _) = top_materialised();
+    assert_eq!(
+        top_streamed(),
+        top_materialised(),
+        "top-k is sort-then-take"
+    );
+    let (limit_ns, limit_sorted_ns) = group.bench_pair(
+        "scan_limit",
+        top_streamed,
+        "scan_limit_materialised",
+        top_materialised,
+    );
+    derived_ratio("scan_limit", wide_hits, limit_ns, limit_sorted_ns);
+
     drop(seed_store);
     let _ = std::fs::remove_dir_all(&seed_root);
 

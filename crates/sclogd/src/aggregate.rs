@@ -6,13 +6,12 @@
 //! One [`AggregateCache`] holds the rendered results keyed by the
 //! store's mutation counter: a request under the current version is a
 //! string clone; the first request after an ingest (or the first ever
-//! against a store booted from disk) runs one full scan through the
-//! segment store and recomputes.
+//! against a store booted from disk) recomputes with one streaming
+//! fold over the segment store into dense per-id counters.
 //!
 //! Hotspot top-`k` is applied at serve time from the cached full
 //! ranking, so `k=5` and `k=50` share one computation.
 
-use std::collections::HashMap;
 use std::io;
 use std::sync::Mutex;
 
@@ -128,42 +127,43 @@ impl AggregateCache {
 }
 
 fn compute(inner: &StoreInner, rec: &ThreadRecorder) -> io::Result<(Cached, ScanStats)> {
-    // One unfiltered scan, then one pass: per-category counts and
-    // survivor times, per-host survivor counts. The scan returns
-    // alerts time-sorted, so the collected times are too —
-    // interarrival gaps are direct successive differences.
-    let (alerts, scan_stats) = inner.scan(&ScanFilter::all(), rec)?;
-    let mut tagged: HashMap<u16, u64> = HashMap::new();
-    let mut filtered: HashMap<u16, u64> = HashMap::new();
-    let mut times: HashMap<u16, Vec<i64>> = HashMap::new();
-    let mut per_host: HashMap<&str, u64> = HashMap::new();
-    for alert in &alerts {
-        let cat = alert.category.index() as u16;
-        *tagged.entry(cat).or_default() += 1;
+    // One streaming fold over every alert into dense counters indexed
+    // by category and host id. Survivor times are collected per
+    // category in storage order and sorted afterwards: the same sorted
+    // multiset a time-ordered scan yields, so gaps and summaries are
+    // bit-identical to folding a sorted scan.
+    let n_cats = inner.categories().len();
+    let mut tagged = vec![0u64; n_cats];
+    let mut filtered = vec![0u64; n_cats];
+    let mut times: Vec<Vec<i64>> = vec![Vec::new(); n_cats];
+    let mut per_host = vec![0u64; inner.hosts().len()];
+    let scan_stats = inner.scan_with(&ScanFilter::all(), rec, |alert| {
+        let cat = alert.category.index();
+        tagged[cat] += 1;
         if alert.filtered {
-            *filtered.entry(cat).or_default() += 1;
-            times.entry(cat).or_default().push(alert.time.as_micros());
-            *per_host.entry(inner.host_name(alert)).or_default() += 1;
+            filtered[cat] += 1;
+            times[cat].push(alert.time.as_micros());
+            per_host[alert.host.index()] += 1;
         }
-    }
-
-    let mut cats: Vec<u16> = tagged.keys().copied().collect();
-    cats.sort_unstable();
+    })?;
 
     let mut categories = JsonArray::new();
     let mut interarrival = JsonArray::new();
-    for cat in cats {
-        let id = sclog_types::CategoryId::from_index(cat);
-        let def = inner.categories().def(id);
+    for (id, def) in inner.categories().iter() {
+        let cat = id.index();
+        if tagged[cat] == 0 {
+            continue;
+        }
         let mut obj = JsonObject::new();
         obj.str("category", &def.name)
             .str("system", &def.system.to_string())
             .str("class", &def.alert_type.to_string())
-            .uint("tagged", tagged[&cat])
-            .uint("filtered", filtered.get(&cat).copied().unwrap_or(0));
+            .uint("tagged", tagged[cat])
+            .uint("filtered", filtered[cat]);
         categories.push_raw(&obj.finish());
 
-        let ts = times.get(&cat).map(Vec::as_slice).unwrap_or(&[]);
+        let ts = &mut times[cat];
+        ts.sort_unstable();
         let gaps: Vec<f64> = ts.windows(2).map(|w| (w[1] - w[0]) as f64 / 1e6).collect();
         let summary = Summary::from_slice(&gaps);
         let mut obj = JsonObject::new();
@@ -178,9 +178,12 @@ fn compute(inner: &StoreInner, rec: &ThreadRecorder) -> io::Result<(Cached, Scan
         interarrival.push_raw(&obj.finish());
     }
 
-    let mut hotspots: Vec<(String, u64)> = per_host
-        .into_iter()
-        .map(|(h, n)| (h.to_owned(), n))
+    // Names are resolved once per host, not once per alert.
+    let mut hotspots: Vec<(String, u64)> = inner
+        .hosts()
+        .iter()
+        .filter(|(id, _)| per_host[id.index()] > 0)
+        .map(|(id, name)| (name.to_owned(), per_host[id.index()]))
         .collect();
     hotspots.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
 

@@ -4,11 +4,12 @@
 //! store can prune with: time bounds and the system pass through
 //! directly (they prune whole `(system, day)` partitions), names are
 //! resolved against the store catalog into id sets and bitsets (which
-//! prune sealed segments by zone map). `total` in the response counts
-//! every match; `alerts` carries at most `limit` of them, so a client
-//! can see it was truncated.
+//! prune sealed segments by zone map). The scan streams into a
+//! [`TopK`]: `total` counts every match while `alerts` carries the
+//! first `limit` in `(time, seq)` order, so a client can see it was
+//! truncated and memory stays O(`limit`).
 
-use sclog_store::{ScanFilter, ScanStats};
+use sclog_store::{ScanFilter, ScanStats, TopK};
 use sclog_types::json::{JsonArray, JsonObject};
 use sclog_types::segment::{class_code, severity_code};
 
@@ -95,18 +96,19 @@ pub fn render_alerts(
     query: &Query,
     rec: &sclog_obs::ThreadRecorder,
 ) -> Result<(String, ScanStats), String> {
-    let (hits, stats) = inner
-        .scan(&scan_filter(inner, query), rec)
+    let mut top = TopK::new(query.limit);
+    let stats = inner
+        .scan_with(&scan_filter(inner, query), rec, |alert| top.offer(alert))
         .map_err(|e| e.to_string())?;
+    let total = top.total();
+    let hits = top.into_sorted();
     let mut rows = JsonArray::new();
-    let mut returned = 0usize;
-    for alert in hits.iter().take(query.limit) {
+    for alert in &hits {
         rows.push_raw(&render_alert(inner, alert, &query.fields));
-        returned += 1;
     }
     let mut body = JsonObject::new();
-    body.uint("total", hits.len() as u64)
-        .uint("returned", returned as u64)
+    body.uint("total", total)
+        .uint("returned", hits.len() as u64)
         .raw("alerts", &rows.finish());
     Ok((body.finish(), stats))
 }

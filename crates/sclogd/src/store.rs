@@ -110,10 +110,27 @@ impl StoreInner {
         self.segs.record_count()
     }
 
-    /// Runs a pruned scan, crediting pruned/scanned/bytes counters to
-    /// the store's metrics through `rec` and returning this scan's
-    /// by-value [`ScanStats`] alongside the hits. Results arrive
-    /// sorted by `(time, seq)` — time order with admission-order ties.
+    /// Runs a pruned scan, calling `visit` on every hit in storage
+    /// order (not time order), crediting pruned/scanned/bytes counters
+    /// to the store's metrics through `rec`, and returning this scan's
+    /// by-value [`ScanStats`]. The server's read path: memory does not
+    /// grow with the hit count.
+    ///
+    /// # Errors
+    ///
+    /// Any I/O failure or corruption reading a segment payload.
+    pub fn scan_with(
+        &self,
+        filter: &ScanFilter,
+        rec: &ThreadRecorder,
+        visit: impl FnMut(&StoredAlert),
+    ) -> io::Result<ScanStats> {
+        self.segs.scan_with(filter, true, rec, &self.metrics, visit)
+    }
+
+    /// [`StoreInner::scan_with`] materialised: every hit, sorted by
+    /// `(time, seq)` — time order with admission-order ties. The
+    /// oracle the streaming consumers are tested against.
     ///
     /// # Errors
     ///

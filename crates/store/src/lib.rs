@@ -26,10 +26,14 @@
 //!   runs of small segments.
 //! * [`SegmentStore`] — the facade: routes appends by `(system,
 //!   day)`, assigns the global admission sequence that keeps scans
-//!   deterministic, prunes whole partitions then individual segments,
-//!   and reports `store.segments_pruned` / `store.segments_scanned` /
-//!   `store.bytes_read` plus WAL/seal/compaction spans through
-//!   `sclog-obs`.
+//!   deterministic, prunes whole partitions then individual segments
+//!   in its one scan loop ([`SegmentStore::scan_with`], which streams
+//!   matches to a visitor; [`SegmentStore::scan`] collects and sorts
+//!   them), and reports `store.segments_pruned` /
+//!   `store.segments_scanned` / `store.bytes_read` plus
+//!   WAL/seal/compaction spans through `sclog-obs`.
+//! * [`TopK`] — the bounded `(time, seq)` top-`limit` a streaming
+//!   consumer keeps, so a truncated answer costs O(`limit`) memory.
 //!
 //! # Examples
 //!
@@ -61,9 +65,18 @@
 //!     )
 //!     .unwrap();
 //! store.seal_all(&rec, &metrics).unwrap();
-//! let (hits, stats) = store.scan(&ScanFilter::all(), true, &rec, &metrics).unwrap();
+//!
+//! // Stream every match past a visitor (storage order, no hit vector)…
+//! let mut survivors = 0;
+//! let stats = store
+//!     .scan_with(&ScanFilter::all(), true, &rec, &metrics, |alert| {
+//!         survivors += u64::from(alert.filtered);
+//!     })
+//!     .unwrap();
+//! assert_eq!((survivors, stats.rows_decoded), (1, 1));
+//! // …or collect them sorted by (time, seq).
+//! let (hits, _) = store.scan(&ScanFilter::all(), true, &rec, &metrics).unwrap();
 //! assert_eq!(hits.len(), 1);
-//! assert_eq!(stats.rows_decoded, 1);
 //! # std::fs::remove_dir_all(&root).unwrap();
 //! ```
 
@@ -76,6 +89,7 @@ mod partition;
 mod record;
 mod segment;
 mod store;
+mod topk;
 mod varint;
 pub mod wal;
 mod zonemap;
@@ -86,4 +100,5 @@ pub use record::{decode_batch, encode_batch, StoredAlert};
 pub use sclog_types::trace::ScanStats;
 pub use segment::Segment;
 pub use store::{SegmentStore, StoreConfig, StoreMetrics};
+pub use topk::TopK;
 pub use zonemap::{ScanFilter, ZoneMap};

@@ -317,31 +317,40 @@ impl SegmentStore {
         Ok(removed)
     }
 
-    /// Runs `filter` over the store, returning matches sorted by
-    /// `(time, seq)` — i.e. time order with admission-order ties.
+    /// Runs `filter` over the store, calling `visit` on every match —
+    /// the store's one scan loop. Matches arrive in storage order
+    /// (partitions by `(system, day)`, then segments, then the WAL
+    /// tail), not `(time, seq)` order; nothing beyond one decoded
+    /// segment payload is buffered, whatever the hit count.
     ///
     /// With `prune` set, whole partitions are skipped by system and
     /// day and sealed segments by zone map before any payload is
-    /// read; pruning is conservative, so the result is identical to a
-    /// full scan. The returned [`ScanStats`] is this scan's by-value
-    /// accounting — what pruning skipped versus what was read and
-    /// decoded — and the same numbers are credited to the cumulative
-    /// `metrics` counters through `rec`.
+    /// read; pruning is conservative, so the visited set is identical
+    /// to a full scan's. The returned [`ScanStats`] is this scan's
+    /// by-value accounting — what pruning skipped versus what was
+    /// read and decoded — and the same numbers are credited to the
+    /// cumulative `metrics` counters through `rec`.
     ///
     /// # Errors
     ///
     /// Any I/O failure or corruption reading a segment payload.
-    pub fn scan(
+    pub fn scan_with(
         &self,
         filter: &ScanFilter,
         prune: bool,
         rec: &ThreadRecorder,
         metrics: &StoreMetrics,
-    ) -> io::Result<(Vec<StoredAlert>, ScanStats)> {
+        mut visit: impl FnMut(&StoredAlert),
+    ) -> io::Result<ScanStats> {
         let day_from = filter.from.map(day_of);
         let day_to = filter.to.map(day_of);
         let system = filter.system.map(system_code);
-        let mut out: Vec<StoredAlert> = Vec::new();
+        let categories = &self.catalog.categories;
+        let mut visit_matches = |records: &[StoredAlert]| {
+            for r in records.iter().filter(|r| filter.matches(r, categories)) {
+                visit(r);
+            }
+        };
         let mut stats = ScanStats::default();
         for (&(part_system, day), partition) in &self.partitions {
             let partition_pruned = prune
@@ -363,23 +372,33 @@ impl SegmentStore {
                 stats.zones_scanned += 1;
                 stats.bytes_read += read;
                 stats.rows_decoded += records.len() as u64;
-                out.extend(
-                    records
-                        .iter()
-                        .filter(|r| filter.matches(r, &self.catalog.categories)),
-                );
+                visit_matches(&records);
             }
             stats.rows_decoded += partition.tail.len() as u64;
-            out.extend(
-                partition
-                    .tail
-                    .iter()
-                    .filter(|r| filter.matches(r, &self.catalog.categories)),
-            );
+            visit_matches(&partition.tail);
         }
         rec.add(metrics.segments_pruned, stats.zones_pruned);
         rec.add(metrics.segments_scanned, stats.zones_scanned);
         rec.add(metrics.bytes_read, stats.bytes_read);
+        Ok(stats)
+    }
+
+    /// [`SegmentStore::scan_with`] collected and sorted by `(time,
+    /// seq)` — time order with admission-order ties. O(hits) memory:
+    /// the oracle streaming consumers are tested against.
+    ///
+    /// # Errors
+    ///
+    /// Any I/O failure or corruption reading a segment payload.
+    pub fn scan(
+        &self,
+        filter: &ScanFilter,
+        prune: bool,
+        rec: &ThreadRecorder,
+        metrics: &StoreMetrics,
+    ) -> io::Result<(Vec<StoredAlert>, ScanStats)> {
+        let mut out = Vec::new();
+        let stats = self.scan_with(filter, prune, rec, metrics, |r| out.push(*r))?;
         out.sort_by_key(|r| (r.time, r.seq));
         Ok((out, stats))
     }
@@ -446,7 +465,12 @@ mod tests {
         dir
     }
 
-    /// Two systems, two days, a few hosts.
+    fn scan(store: &SegmentStore, f: &ScanFilter, prune: bool) -> (Vec<StoredAlert>, ScanStats) {
+        let metrics = StoreMetrics::disabled();
+        store.scan(f, prune, &disabled_rec(), &metrics).unwrap()
+    }
+
+    /// Two systems, two days, a few hosts; every tail sealed.
     fn build(root: &Path, seal_records: usize) -> SegmentStore {
         let mut store = SegmentStore::open(
             root,
@@ -471,29 +495,19 @@ mod tests {
                 seq: 0,
             })
             .collect();
-        store
-            .append(&records, &disabled_rec(), &StoreMetrics::disabled())
-            .unwrap();
+        let (rec, metrics) = (disabled_rec(), StoreMetrics::disabled());
+        store.append(&records, &rec, &metrics).unwrap();
+        store.seal_all(&rec, &metrics).unwrap();
         store
     }
 
     #[test]
     fn append_seal_reopen_scan_round_trip() {
         let root = temp_root("roundtrip");
-        let mut store = build(&root, 8);
-        store
-            .seal_all(&disabled_rec(), &StoreMetrics::disabled())
-            .unwrap();
+        let store = build(&root, 8);
         assert_eq!(store.record_count(), 40);
         assert_eq!(store.partition_count(), 4, "2 systems × 2 days");
-        let (full, full_stats) = store
-            .scan(
-                &ScanFilter::all(),
-                false,
-                &disabled_rec(),
-                &StoreMetrics::disabled(),
-            )
-            .unwrap();
+        let (full, full_stats) = scan(&store, &ScanFilter::all(), false);
         assert_eq!(full.len(), 40);
         assert_eq!(full_stats.rows_decoded, 40, "full scan decodes every row");
         assert_eq!(full_stats.zones_pruned, 0, "nothing pruned without prune");
@@ -506,14 +520,7 @@ mod tests {
         let store = SegmentStore::open(&root, StoreConfig::default()).unwrap();
         assert_eq!(store.record_count(), 40);
         assert_eq!(store.next_seq(), 40);
-        let (again, _) = store
-            .scan(
-                &ScanFilter::all(),
-                true,
-                &disabled_rec(),
-                &StoreMetrics::disabled(),
-            )
-            .unwrap();
+        let (again, _) = scan(&store, &ScanFilter::all(), true);
         assert_eq!(again, full);
         std::fs::remove_dir_all(&root).unwrap();
     }
@@ -521,10 +528,7 @@ mod tests {
     #[test]
     fn pruned_scan_equals_full_scan_on_filters() {
         let root = temp_root("prune");
-        let mut store = build(&root, 8);
-        store
-            .seal_all(&disabled_rec(), &StoreMetrics::disabled())
-            .unwrap();
+        let store = build(&root, 8);
         let filters = [
             ScanFilter {
                 system: Some(SystemId::Liberty),
@@ -546,12 +550,8 @@ mod tests {
             },
         ];
         for filter in &filters {
-            let (pruned, pstats) = store
-                .scan(filter, true, &disabled_rec(), &StoreMetrics::disabled())
-                .unwrap();
-            let (full, fstats) = store
-                .scan(filter, false, &disabled_rec(), &StoreMetrics::disabled())
-                .unwrap();
+            let (pruned, pstats) = scan(&store, filter, true);
+            let (full, fstats) = scan(&store, filter, false);
             assert_eq!(pruned, full, "filter {filter:?}");
             // Pruning only moves work from scanned to pruned.
             assert_eq!(
@@ -566,10 +566,7 @@ mod tests {
     #[test]
     fn pruning_actually_skips_segments() {
         let root = temp_root("counters");
-        let mut store = build(&root, 8);
-        store
-            .seal_all(&disabled_rec(), &StoreMetrics::disabled())
-            .unwrap();
+        let store = build(&root, 8);
         let recorder = Recorder::new();
         let metrics = StoreMetrics::register(&recorder);
         let rec = recorder.thread("scan");
@@ -602,34 +599,16 @@ mod tests {
     fn compaction_preserves_scan_results() {
         let root = temp_root("compactscan");
         let mut store = build(&root, 4);
-        store
-            .seal_all(&disabled_rec(), &StoreMetrics::disabled())
-            .unwrap();
-        let (before, _) = store
-            .scan(
-                &ScanFilter::all(),
-                false,
-                &disabled_rec(),
-                &StoreMetrics::disabled(),
-            )
-            .unwrap();
+        let (before, _) = scan(&store, &ScanFilter::all(), false);
         let segments_before = store.segment_count();
         // Threshold seal_records/2 = 2: only sub-2-record segments
         // merge, so force a finer store to exercise merging.
-        let removed = store
+        store
             .compact(&disabled_rec(), &StoreMetrics::disabled())
             .unwrap();
-        let (after, _) = store
-            .scan(
-                &ScanFilter::all(),
-                true,
-                &disabled_rec(),
-                &StoreMetrics::disabled(),
-            )
-            .unwrap();
+        let (after, _) = scan(&store, &ScanFilter::all(), true);
         assert_eq!(after, before);
         assert!(store.segment_count() <= segments_before);
-        let _ = removed;
         std::fs::remove_dir_all(&root).unwrap();
     }
 }

@@ -250,7 +250,8 @@ impl ScanFilter {
     }
 
     /// Whether one record satisfies every dimension. `categories`
-    /// resolves the record's system and class.
+    /// resolves the record's system and class, and is consulted only
+    /// when the filter constrains one of them.
     pub fn matches(&self, r: &StoredAlert, categories: &CategoryRegistry) -> bool {
         if let Some(from) = self.from {
             if r.time < from {
@@ -286,18 +287,14 @@ impl ScanFilter {
                 return false;
             }
         }
+        if self.system.is_none() && self.classes.is_none() {
+            return true;
+        }
         let def = categories.def(r.category);
-        if let Some(system) = self.system {
-            if def.system != system {
-                return false;
-            }
-        }
-        if let Some(mask) = self.classes {
-            if mask & (1 << class_code(def.alert_type)) == 0 {
-                return false;
-            }
-        }
-        true
+        self.system.is_none_or(|system| def.system == system)
+            && self
+                .classes
+                .is_none_or(|mask| mask & (1 << class_code(def.alert_type)) != 0)
     }
 }
 

@@ -52,6 +52,13 @@
 #                                 them versus re-running simulation +
 #                                 parse + tag + filter, the boot path
 #                                 sclogd --data replaces
+#   {"record":"scan_agg"}         materialise+sort+fold / scan_with fold
+#                                 median ratio for a per-category count
+#                                 over every record (the aggregate
+#                                 recompute's shape)
+#   {"record":"scan_limit"}       materialise+sort+take / streaming
+#                                 count + top-100 heap on a wide filter
+#                                 (a truncated /alerts answer's shape)
 set -eu
 
 cd "$(dirname "$0")/.."

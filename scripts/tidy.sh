@@ -38,6 +38,13 @@
 #      TRACE_FORMAT_VERSION is defined once, in
 #      crates/types/src/trace.rs, and every other use imports it —
 #      mirroring check 6 for the sclog.trace.v1 reports.
+#  10. The server's read path streams: non-test code in
+#      crates/sclogd/src/{format,aggregate,server}.rs must not call the
+#      materialising `.scan(` — `/alerts` and the aggregates read
+#      through `scan_with`, so a request's memory is bounded by what it
+#      returns, not by how many alerts match. StoreInner::scan (defined
+#      in store.rs) stays as the test oracle and benchmark API, and
+#      test modules may call it.
 #
 # Runs standalone or as part of scripts/verify.sh --lint.
 set -eu
@@ -206,6 +213,20 @@ if [ -f "$tracev" ]; then
 else
     complain "$tracev: missing (the trace schema is load-bearing for /obs/queries and /obs/timeline)"
 fi
+
+# -- 10. no materialising scans on the server's read path -------------
+# `.scan(` collects and sorts every hit; the request handlers must
+# stream through `.scan_with(` instead. Same mod-tests cut as #2, and
+# comment lines are ignored.
+for f in crates/sclogd/src/format.rs crates/sclogd/src/aggregate.rs \
+    crates/sclogd/src/server.rs; do
+    [ -f "$f" ] || { complain "$f: missing (sclogd read path)"; continue; }
+    hit=$(awk '/^ *(#\[cfg\(test\)\]|mod tests)/ { exit } { print NR ":" $0 }' "$f" |
+        grep -E '\.scan\(' | grep -vE '^[0-9]+: *//' || true)
+    if [ -n "$hit" ]; then
+        complain "$f: materialising .scan( on the server read path (stream with scan_with): $(printf '%s' "$hit" | head -1)"
+    fi
+done
 
 if [ "$fail" -ne 0 ]; then
     echo "tidy: FAILED" >&2
