@@ -1,11 +1,13 @@
 //! Wall-clock benchmark for the on-disk segment store behind sclogd:
 //! append throughput into WAL-backed partitions, zone-map pruning
-//! versus a full scan on a narrow range query, streaming `scan_with`
+//! versus a full scan on a narrow range query, streaming `scan_runs`
 //! consumers versus the materialise-and-sort `scan` they replaced on
-//! sclogd's read path, and a cold boot from sealed segments versus
-//! re-running simulation and ingest (the boot path `--data` replaces).
+//! sclogd's read path, the column-at-a-time kernel versus a
+//! row-at-a-time `ScanFilter::matches` loop over the same cached
+//! segments, and a cold boot from sealed segments versus re-running
+//! simulation and ingest (the boot path `--data` replaces).
 //!
-//! Emits one JSON record per benchmark on stdout plus four derived
+//! Emits one JSON record per benchmark on stdout plus five derived
 //! records:
 //!   {"record":"prune_speedup"}  full-scan / pruned-scan median ratio
 //!                               on a one-day, one-system filter over
@@ -18,6 +20,11 @@
 //!                               count + top-100 heap median ratio on
 //!                               a wide (survivors-only) filter — the
 //!                               shape of a truncated `/alerts` answer
+//!   {"record":"scan_count"}     row loop / column kernel median ratio
+//!                               for count + top-100 on a survivors-only
+//!                               filter and on a one-category filter,
+//!                               with the block cache warm (a serving
+//!                               daemon's regime)
 //!   {"record":"cold_boot"}      resimulate / cold-boot median ratio —
 //!                               how much faster a daemon boots from
 //!                               disk than from scratch
@@ -220,16 +227,17 @@ fn main() {
     );
 
     // ------------------------------- streaming consumers vs materialise
-    // The same answers two ways: a `scan_with` visitor that folds or
-    // keeps a bounded top-k as hits stream past, and the sorted `scan`
+    // The same answers two ways: a `scan_runs` visitor that folds or
+    // keeps a bounded top-k as runs stream past, and the sorted `scan`
     // followed by the same fold or take.
     let categories = seed_store.catalog().categories.len();
     let all = ScanFilter::all();
     let count_streamed = || {
         let mut counts = vec![0u64; categories];
         seed_store
-            .scan_with(&all, true, &rec, &metrics, |r| {
-                counts[r.category.index()] += 1;
+            .scan_runs(&all, true, &rec, &metrics, |run| {
+                let column = run.block().categories();
+                run.rows().for_each(|i| counts[column[i] as usize] += 1);
             })
             .expect("scan");
         counts
@@ -258,7 +266,7 @@ fn main() {
     let top_streamed = || {
         let mut top = TopK::new(LIMIT);
         seed_store
-            .scan_with(&wide, true, &rec, &metrics, |r| top.offer(r))
+            .scan_runs(&wide, true, &rec, &metrics, |run| top.offer_run(run))
             .expect("scan");
         (top.total(), top.into_sorted())
     };
@@ -283,7 +291,65 @@ fn main() {
     );
     derived_ratio("scan_limit", wide_hits, limit_ns, limit_sorted_ns);
 
+    // ------------------------------ column kernel vs row-at-a-time loop
+    // Count + top-100 for the survivors and for one category, the
+    // shapes of sclogd's full-scan and wide `/alerts` requests, over a
+    // warm block cache. The row loop reads the same segments (a
+    // system filter keeps exactly the partitions the category's zone
+    // maps keep) and tests every row with `ScanFilter::matches`, as the
+    // scan did before it selected a column at a time.
     drop(seed_store);
+    let served = SegmentStore::open(&seed_root, StoreConfig::default()).expect("reopen");
+    let registry = served.catalog().categories.clone();
+    let one_category = ScanFilter {
+        categories: Some(vec![1]),
+        ..ScanFilter::all()
+    };
+    let category_system = ScanFilter {
+        system: Some(registry.def(CategoryId::from_index(0)).system),
+        ..ScanFilter::all()
+    };
+    let queries = [(&wide, &all), (&one_category, &category_system)];
+    let count_kernel = || {
+        queries.map(|(filter, _)| {
+            let mut top = TopK::new(LIMIT);
+            served
+                .scan_runs(filter, true, &rec, &metrics, |run| top.offer_run(run))
+                .expect("scan");
+            (top.total(), top.into_sorted())
+        })
+    };
+    let count_rows = || {
+        queries.map(|(filter, segments)| {
+            let mut top = TopK::new(LIMIT);
+            served
+                .scan_runs(segments, true, &rec, &metrics, |run| {
+                    for r in run.alerts() {
+                        if filter.matches(&r, &registry) {
+                            top.offer(&r);
+                        }
+                    }
+                })
+                .expect("scan");
+            (top.total(), top.into_sorted())
+        })
+    };
+    let kernel_answers = count_kernel(); // also warms the block cache
+    assert_eq!(kernel_answers, count_rows(), "kernel ≡ row oracle");
+    let (kernel_ns, rows_ns) =
+        group.bench_pair("scan_count", count_kernel, "scan_count_rows", count_rows);
+    let hits: u64 = kernel_answers.iter().map(|(total, _)| total).sum();
+    let speedup = rows_ns as f64 / kernel_ns.max(1) as f64;
+    let mut obj = JsonObject::new();
+    obj.str("record", "scan_count")
+        .uint("hits", hits)
+        .uint("kernel_median_ns", kernel_ns as u64)
+        .uint("rows_median_ns", rows_ns as u64)
+        .num("speedup", speedup);
+    println!("{}", obj.finish());
+    eprintln!("store/scan_count: column kernel {speedup:.1}x the row loop ({hits} hits)");
+
+    drop(served);
     let _ = std::fs::remove_dir_all(&seed_root);
 
     // ------------------------------------- cold boot vs re-simulation

@@ -7,7 +7,7 @@
 //! store's mutation counter: a request under the current version is a
 //! string clone; the first request after an ingest (or the first ever
 //! against a store booted from disk) recomputes with one streaming
-//! fold over the segment store into dense per-id counters.
+//! fold over the segment store's columns into dense per-id counters.
 //!
 //! Hotspot top-`k` is applied at serve time from the cached full
 //! ranking, so `k=5` and `k=50` share one computation.
@@ -127,23 +127,30 @@ impl AggregateCache {
 }
 
 fn compute(inner: &StoreInner, rec: &ThreadRecorder) -> io::Result<(Cached, ScanStats)> {
-    // One streaming fold over every alert into dense counters indexed
-    // by category and host id. Survivor times are collected per
-    // category in storage order and sorted afterwards: the same sorted
-    // multiset a time-ordered scan yields, so gaps and summaries are
+    // One fold over every segment's columns into dense counters
+    // indexed by category and host id: the category column feeds the
+    // tagged histogram, and only the rows the survivor bitmap selects
+    // are read for survivor counts, host counts and times. Survivor
+    // times come sorted within each run but not across runs, so each
+    // category's list is sorted afterwards: the same sorted multiset a
+    // time-ordered scan yields, so gaps and summaries are
     // bit-identical to folding a sorted scan.
     let n_cats = inner.categories().len();
     let mut tagged = vec![0u64; n_cats];
     let mut filtered = vec![0u64; n_cats];
     let mut times: Vec<Vec<i64>> = vec![Vec::new(); n_cats];
     let mut per_host = vec![0u64; inner.hosts().len()];
-    let scan_stats = inner.scan_with(&ScanFilter::all(), rec, |alert| {
-        let cat = alert.category.index();
-        tagged[cat] += 1;
-        if alert.filtered {
+    let scan_stats = inner.scan_runs(&ScanFilter::all(), rec, |run| {
+        let block = run.block();
+        let (cats, hosts, ts) = (block.categories(), block.hosts(), block.times());
+        for i in run.rows() {
+            tagged[cats[i] as usize] += 1;
+        }
+        for i in run.survivor_rows() {
+            let cat = cats[i] as usize;
             filtered[cat] += 1;
-            times[cat].push(alert.time.as_micros());
-            per_host[alert.host.index()] += 1;
+            times[cat].push(ts[i]);
+            per_host[hosts[i] as usize] += 1;
         }
     })?;
 

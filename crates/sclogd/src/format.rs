@@ -4,10 +4,11 @@
 //! store can prune with: time bounds and the system pass through
 //! directly (they prune whole `(system, day)` partitions), names are
 //! resolved against the store catalog into id sets and bitsets (which
-//! prune sealed segments by zone map). The scan streams into a
-//! [`TopK`]: `total` counts every match while `alerts` carries the
-//! first `limit` in `(time, seq)` order, so a client can see it was
-//! truncated and memory stays O(`limit`).
+//! prune sealed segments by zone map). Each segment's matches reach a
+//! [`TopK`] in sorted runs: `total` adds a run's popcount while
+//! `alerts` takes at most the run's first `limit` matches, so the
+//! answer carries the first `limit` in `(time, seq)` order, a client
+//! can see it was truncated, and memory stays O(`limit`).
 
 use sclog_store::{ScanFilter, ScanStats, TopK};
 use sclog_types::json::{JsonArray, JsonObject};
@@ -98,7 +99,7 @@ pub fn render_alerts(
 ) -> Result<(String, ScanStats), String> {
     let mut top = TopK::new(query.limit);
     let stats = inner
-        .scan_with(&scan_filter(inner, query), rec, |alert| top.offer(alert))
+        .scan_runs(&scan_filter(inner, query), rec, |run| top.offer_run(run))
         .map_err(|e| e.to_string())?;
     let total = top.total();
     let hits = top.into_sorted();

@@ -33,7 +33,7 @@ use sclog_core::IngestResult;
 use sclog_obs::{Recorder, ThreadRecorder};
 use sclog_parse::ParseStats;
 pub use sclog_store::StoredAlert;
-use sclog_store::{crc32, ScanFilter, ScanStats, SegmentStore, StoreConfig, StoreMetrics};
+use sclog_store::{crc32, Run, ScanFilter, ScanStats, SegmentStore, StoreConfig, StoreMetrics};
 use sclog_types::segment::{system_code, system_from_code, SEGMENT_FORMAT_VERSION};
 use sclog_types::{AlertType, CategoryRegistry, Severity, SourceInterner, SystemId};
 
@@ -110,11 +110,27 @@ impl StoreInner {
         self.segs.record_count()
     }
 
-    /// Runs a pruned scan, calling `visit` on every hit in storage
-    /// order (not time order), crediting pruned/scanned/bytes counters
-    /// to the store's metrics through `rec`, and returning this scan's
-    /// by-value [`ScanStats`]. The server's read path: memory does not
-    /// grow with the hit count.
+    /// Runs a pruned scan, handing `visit` each segment's (and each
+    /// unsealed tail's) matches as [`Run`]s sorted by `(time, seq)`,
+    /// crediting pruned/scanned/bytes counters to the store's metrics
+    /// through `rec`, and returning this scan's by-value
+    /// [`ScanStats`]. The server's read path: memory does not grow
+    /// with the hit count.
+    ///
+    /// # Errors
+    ///
+    /// Any I/O failure or corruption reading a segment payload.
+    pub fn scan_runs(
+        &self,
+        filter: &ScanFilter,
+        rec: &ThreadRecorder,
+        visit: impl FnMut(&Run<'_>),
+    ) -> io::Result<ScanStats> {
+        self.segs.scan_runs(filter, true, rec, &self.metrics, visit)
+    }
+
+    /// [`StoreInner::scan_runs`] one hit at a time: time-ordered
+    /// within each run, runs in storage order.
     ///
     /// # Errors
     ///

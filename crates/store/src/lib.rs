@@ -24,16 +24,25 @@
 //!   valid frame; sealing moves the tail into an immutable segment
 //!   under an atomically-renamed manifest, and a compactor merges
 //!   runs of small segments.
+//! * [`Block`] / [`Run`] — a sealed segment's payload decodes once,
+//!   lazily, into columns (time, seq, host, category, severity,
+//!   message index, plus a survivor bitmap) sorted by `(time, seq)`;
+//!   a scan selects from it a column at a time, skipping predicates
+//!   the zone map proves for every row, and hands consumers the
+//!   selection as a sorted run.
 //! * [`SegmentStore`] — the facade: routes appends by `(system,
 //!   day)`, assigns the global admission sequence that keeps scans
 //!   deterministic, prunes whole partitions then individual segments
-//!   in its one scan loop ([`SegmentStore::scan_with`], which streams
-//!   matches to a visitor; [`SegmentStore::scan`] collects and sorts
-//!   them), and reports `store.segments_pruned` /
+//!   in its one scan loop ([`SegmentStore::scan_runs`], which hands a
+//!   visitor each segment's matches as sorted runs;
+//!   [`SegmentStore::scan_with`]
+//!   feeds it matches one at a time; [`SegmentStore::scan`] collects
+//!   and sorts them), and reports `store.segments_pruned` /
 //!   `store.segments_scanned` / `store.bytes_read` plus
 //!   WAL/seal/compaction spans through `sclog-obs`.
 //! * [`TopK`] — the bounded `(time, seq)` top-`limit` a streaming
-//!   consumer keeps, so a truncated answer costs O(`limit`) memory.
+//!   consumer keeps, so a truncated answer costs O(`limit`) memory and
+//!   reads at most `limit` rows of each run.
 //!
 //! # Examples
 //!
@@ -66,11 +75,11 @@
 //!     .unwrap();
 //! store.seal_all(&rec, &metrics).unwrap();
 //!
-//! // Stream every match past a visitor (storage order, no hit vector)…
+//! // Hand each segment's matches to a visitor as sorted runs…
 //! let mut survivors = 0;
 //! let stats = store
-//!     .scan_with(&ScanFilter::all(), true, &rec, &metrics, |alert| {
-//!         survivors += u64::from(alert.filtered);
+//!     .scan_runs(&ScanFilter::all(), true, &rec, &metrics, |run| {
+//!         survivors += run.survivor_rows().count();
 //!     })
 //!     .unwrap();
 //! assert_eq!((survivors, stats.rows_decoded), (1, 1));
@@ -84,6 +93,7 @@
 #![warn(missing_docs)]
 
 mod catalog;
+mod column;
 mod crc;
 mod partition;
 mod record;
@@ -95,6 +105,7 @@ pub mod wal;
 mod zonemap;
 
 pub use catalog::Catalog;
+pub use column::{Block, Run, RUN_ROWS};
 pub use crc::crc32;
 pub use record::{decode_batch, encode_batch, StoredAlert};
 pub use sclog_types::trace::ScanStats;

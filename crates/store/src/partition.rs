@@ -175,18 +175,19 @@ impl Partition {
         })
     }
 
-    /// Appends `records` durably (one WAL frame) and to the tail.
+    /// Appends `records` durably (one WAL frame) and to the tail,
+    /// returning the bytes the frame added to the WAL.
     ///
     /// # Errors
     ///
     /// Any WAL write failure; the tail is untouched on error.
-    pub fn append(&mut self, records: &[StoredAlert]) -> io::Result<()> {
+    pub fn append(&mut self, records: &[StoredAlert]) -> io::Result<u64> {
         if records.is_empty() {
-            return Ok(());
+            return Ok(0);
         }
-        self.wal.append(records)?;
+        let bytes = self.wal.append(records)?;
         self.tail.extend_from_slice(records);
-        Ok(())
+        Ok(bytes)
     }
 
     /// Seals the tail into a new segment, commits the manifest, and
@@ -233,8 +234,7 @@ impl Partition {
             };
             let mut merged: Vec<StoredAlert> = Vec::new();
             for segment in &self.sealed[start..start + len] {
-                let (records, _) = segment.read_payload(false)?;
-                merged.extend_from_slice(&records);
+                merged.extend(segment.read_records()?);
             }
             let id = self.manifest.next_id;
             let segment = write_segment(&self.dir, id, &merged, categories)?;
@@ -378,7 +378,7 @@ mod tests {
         assert_eq!(removed, 5);
         assert_eq!(p.sealed.len(), 1);
         assert_eq!(p.record_count(), 6);
-        let (records, _) = p.sealed[0].read_payload(false).unwrap();
+        let records = p.sealed[0].read_records().unwrap();
         assert_eq!(records.len(), 6);
         assert!(records.windows(2).all(|w| w[0].seq < w[1].seq));
         drop(p);

@@ -63,53 +63,162 @@ pub fn encode_batch(records: &[StoredAlert], out: &mut Vec<u8>) {
 /// `InvalidData` on truncation, an unknown severity code, trailing
 /// garbage, or an implausible record count.
 pub fn decode_batch(buf: &[u8], into: &mut Vec<StoredAlert>) -> io::Result<()> {
-    let mut pos = 0usize;
-    let count = get_u64(buf, &mut pos)?;
-    // Each record is at least 6 bytes; reject counts the buffer
-    // cannot possibly hold before reserving for them.
-    if count > (buf.len() as u64) {
-        return Err(corrupt("record count"));
+    let mut records = BatchDecoder::new(buf)?;
+    into.reserve(records.remaining());
+    for r in records.by_ref() {
+        into.push(r?.alert());
     }
-    into.reserve(count as usize);
-    let mut prev_time = 0i64;
-    let mut prev_seq = 0i64;
-    for _ in 0..count {
-        prev_time = prev_time
-            .checked_add(get_i64(buf, &mut pos)?)
+    records.finish()
+}
+
+/// One record as a batch holds it: ids and the severity code (already
+/// validated), before any conversion to [`StoredAlert`]'s types.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RawRecord {
+    pub(crate) time: i64,
+    pub(crate) seq: u64,
+    pub(crate) host: u32,
+    pub(crate) category: u16,
+    /// A valid `sclog_types::segment::severity_code`.
+    pub(crate) severity: u8,
+    pub(crate) filtered: bool,
+    pub(crate) message_index: u64,
+}
+
+impl RawRecord {
+    /// `r` in batch form.
+    pub(crate) fn of(r: &StoredAlert) -> RawRecord {
+        RawRecord {
+            time: r.time.as_micros(),
+            seq: r.seq,
+            host: r.host.index() as u32,
+            category: r.category.index() as u16,
+            severity: severity_code(r.severity),
+            filtered: r.filtered,
+            message_index: r.message_index as u64,
+        }
+    }
+
+    /// The record in the store's types.
+    pub(crate) fn alert(self) -> StoredAlert {
+        StoredAlert {
+            time: Timestamp::from_micros(self.time),
+            host: NodeId::from_index(self.host),
+            category: CategoryId::from_index(self.category),
+            severity: severity_from_code(self.severity).expect("validated at decode"),
+            message_index: self.message_index as usize,
+            filtered: self.filtered,
+            seq: self.seq,
+        }
+    }
+}
+
+/// A batch's records, decoded one at a time in payload order, so a
+/// payload can go straight into rows or into a
+/// [`Block`](crate::Block)'s columns. Stops at the first error;
+/// [`BatchDecoder::finish`] then checks nothing trails the last record.
+pub(crate) struct BatchDecoder<'a> {
+    buf: &'a [u8],
+    pos: usize,
+    remaining: usize,
+    time: i64,
+    seq: i64,
+}
+
+impl<'a> BatchDecoder<'a> {
+    /// Reads the batch's record count.
+    ///
+    /// # Errors
+    ///
+    /// `InvalidData` on a truncated or implausible count.
+    pub(crate) fn new(buf: &'a [u8]) -> io::Result<BatchDecoder<'a>> {
+        let mut pos = 0usize;
+        let count = get_u64(buf, &mut pos)?;
+        // Each record is at least 6 bytes; reject counts the buffer
+        // cannot possibly hold before anyone reserves for them.
+        if count > (buf.len() as u64) {
+            return Err(corrupt("record count"));
+        }
+        Ok(BatchDecoder {
+            buf,
+            pos,
+            remaining: count as usize,
+            time: 0,
+            seq: 0,
+        })
+    }
+
+    /// Records not yet decoded.
+    pub(crate) fn remaining(&self) -> usize {
+        self.remaining
+    }
+
+    /// Checks the batch ended with its last record.
+    ///
+    /// # Errors
+    ///
+    /// `InvalidData` on records left undecoded or trailing bytes.
+    pub(crate) fn finish(self) -> io::Result<()> {
+        if self.remaining != 0 || self.pos != self.buf.len() {
+            return Err(corrupt("batch (trailing bytes)"));
+        }
+        Ok(())
+    }
+
+    fn record(&mut self) -> io::Result<RawRecord> {
+        let (buf, pos) = (self.buf, &mut self.pos);
+        self.time = self
+            .time
+            .checked_add(get_i64(buf, pos)?)
             .ok_or_else(|| corrupt("timestamp delta"))?;
-        prev_seq = prev_seq
-            .checked_add(get_i64(buf, &mut pos)?)
+        self.seq = self
+            .seq
+            .checked_add(get_i64(buf, pos)?)
             .ok_or_else(|| corrupt("sequence delta"))?;
-        if prev_seq < 0 {
+        if self.seq < 0 {
             return Err(corrupt("negative sequence"));
         }
-        let host = get_u64(buf, &mut pos)?;
+        let host = get_u64(buf, pos)?;
         if host > u64::from(u32::MAX) {
             return Err(corrupt("host id"));
         }
-        let category = get_u64(buf, &mut pos)?;
+        let category = get_u64(buf, pos)?;
         if category > u64::from(u16::MAX) {
             return Err(corrupt("category id"));
         }
-        let packed = *buf.get(pos).ok_or_else(|| corrupt("severity byte"))?;
-        pos += 1;
-        let severity =
-            severity_from_code(packed & !FILTERED_BIT).ok_or_else(|| corrupt("severity code"))?;
-        let message_index = get_u64(buf, &mut pos)?;
-        into.push(StoredAlert {
-            time: Timestamp::from_micros(prev_time),
-            host: NodeId::from_index(host as u32),
-            category: CategoryId::from_index(category as u16),
+        let packed = *buf.get(*pos).ok_or_else(|| corrupt("severity byte"))?;
+        *pos += 1;
+        let severity = packed & !FILTERED_BIT;
+        if severity_from_code(severity).is_none() {
+            return Err(corrupt("severity code"));
+        }
+        Ok(RawRecord {
+            time: self.time,
+            seq: self.seq as u64,
+            host: host as u32,
+            category: category as u16,
             severity,
-            message_index: message_index as usize,
             filtered: packed & FILTERED_BIT != 0,
-            seq: prev_seq as u64,
-        });
+            message_index: get_u64(buf, pos)?,
+        })
     }
-    if pos != buf.len() {
-        return Err(corrupt("batch (trailing bytes)"));
+}
+
+impl Iterator for BatchDecoder<'_> {
+    type Item = io::Result<RawRecord>;
+
+    fn next(&mut self) -> Option<io::Result<RawRecord>> {
+        if self.remaining == 0 {
+            return None;
+        }
+        let record = self.record();
+        self.remaining -= 1;
+        if record.is_err() {
+            // Nothing more is decoded, and `finish` fails.
+            (self.remaining, self.pos) = (0, usize::MAX);
+        }
+        Some(record)
     }
-    Ok(())
 }
 
 #[cfg(test)]

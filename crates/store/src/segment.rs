@@ -10,16 +10,20 @@
 //!
 //! The zone map sits ahead of the payload with its own CRC so pruning
 //! reads a few dozen bytes and never touches (or validates) the
-//! payload. Opening a segment reads only the zone; `read_payload`
-//! fetches and CRC-checks the records on demand.
+//! payload. Opening a segment reads only the zone; `read_block`
+//! fetches, CRC-checks and decodes the records into a columnar
+//! [`Block`] on demand. The on-disk bytes are untouched by that
+//! layout: the block exists only in memory.
 
 use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, OnceLock};
 
 use sclog_types::segment::{SEGMENT_FORMAT_VERSION, SEGMENT_MAGIC};
 use sclog_types::CategoryRegistry;
 
+use crate::column::Block;
 use crate::crc::crc32;
 use crate::record::{decode_batch, encode_batch, StoredAlert};
 use crate::varint::corrupt;
@@ -37,9 +41,9 @@ pub struct Segment {
     pub path: PathBuf,
     /// Resident summary used for pruning.
     pub zone: ZoneMap,
-    /// Decoded payload, memoized after the first un-pruned read when
-    /// the store is configured to cache.
-    cache: std::sync::OnceLock<std::sync::Arc<Vec<StoredAlert>>>,
+    /// Decoded columnar payload, memoized after the first un-pruned
+    /// read when the store is configured to cache.
+    cache: OnceLock<Arc<Block>>,
 }
 
 /// The file name of segment `id`.
@@ -94,7 +98,7 @@ pub fn write_segment(
         id,
         path,
         zone,
-        cache: std::sync::OnceLock::new(),
+        cache: OnceLock::new(),
     })
 }
 
@@ -145,59 +149,69 @@ impl Segment {
             id,
             path,
             zone,
-            cache: std::sync::OnceLock::new(),
+            cache: OnceLock::new(),
         })
     }
 
-    /// Reads, CRC-checks, and decodes the record payload. Returns the
-    /// records plus the number of file bytes actually read (zero on a
-    /// cache hit). `cache` memoizes the decoded payload for the
-    /// segment's lifetime.
+    /// Reads, CRC-checks, and decodes the record payload into a
+    /// [`Block`] sorted by `(time, seq)`. Returns the block plus the
+    /// number of file bytes actually read (zero on a cache hit).
+    /// `cache` memoizes the block for the segment's lifetime.
     ///
     /// # Errors
     ///
     /// `InvalidData` on payload CRC mismatch or a malformed batch.
-    pub fn read_payload(&self, cache: bool) -> io::Result<(std::sync::Arc<Vec<StoredAlert>>, u64)> {
+    pub fn read_block(&self, cache: bool) -> io::Result<(Arc<Block>, u64)> {
         if cache {
             if let Some(hit) = self.cache.get() {
-                return Ok((std::sync::Arc::clone(hit), 0));
+                return Ok((Arc::clone(hit), 0));
             }
         }
-        let (records, bytes_read) = self.read_payload_uncached()?;
-        let records = std::sync::Arc::new(records);
+        let (payload, bytes_read) = self.read_payload()?;
+        let block = Arc::new(Block::decode(payload, self.zone.count)?);
         if cache {
             // A concurrent reader may have raced us here; either copy
             // decoded from identical bytes, so keep whichever won.
-            let _ = self.cache.set(std::sync::Arc::clone(&records));
+            let _ = self.cache.set(Arc::clone(&block));
         }
-        Ok((records, bytes_read))
+        Ok((block, bytes_read))
     }
 
-    fn read_payload_uncached(&self) -> io::Result<(Vec<StoredAlert>, u64)> {
+    /// Reads and decodes the records in payload (admission) order,
+    /// uncached — what compaction rewrites, so a merged segment keeps
+    /// the byte layout its inputs had.
+    ///
+    /// # Errors
+    ///
+    /// `InvalidData` on payload CRC mismatch or a malformed batch.
+    pub fn read_records(&self) -> io::Result<Vec<StoredAlert>> {
+        let (payload, _) = self.read_payload()?;
+        let mut records = Vec::new();
+        decode_batch(&payload, &mut records)?;
+        if records.len() as u64 != self.zone.count {
+            return Err(corrupt("segment record count"));
+        }
+        Ok(records)
+    }
+
+    /// The CRC-checked payload bytes, plus the file bytes read.
+    fn read_payload(&self) -> io::Result<(Vec<u8>, u64)> {
         let mut file = File::open(&self.path)?;
         let mut header = [0u8; HEADER_LEN];
         file.read_exact(&mut header)?;
         let zone_len = u32::from_le_bytes([header[10], header[11], header[12], header[13]]) as u64;
         file.seek(SeekFrom::Start(HEADER_LEN as u64 + zone_len + 4))?;
-        let mut payload = vec![0u8; self.zone.payload_len as usize + 4];
+        let len = self.zone.payload_len as usize;
+        let mut payload = vec![0u8; len + 4];
         file.read_exact(&mut payload)
             .map_err(|_| corrupt("segment payload (truncated)"))?;
-        let body = &payload[..self.zone.payload_len as usize];
-        let crc_bytes: [u8; 4] = payload[self.zone.payload_len as usize..]
-            .try_into()
-            .expect("4 bytes");
-        if crc32(body) != u32::from_le_bytes(crc_bytes) {
+        let crc_bytes: [u8; 4] = payload[len..].try_into().expect("4 bytes");
+        if crc32(&payload[..len]) != u32::from_le_bytes(crc_bytes) {
             return Err(corrupt("segment payload CRC"));
         }
-        let mut records = Vec::new();
-        decode_batch(body, &mut records)?;
-        if records.len() as u64 != self.zone.count {
-            return Err(corrupt("segment record count"));
-        }
-        Ok((
-            records,
-            (HEADER_LEN as u64) + zone_len + 4 + payload.len() as u64,
-        ))
+        let read = (HEADER_LEN as u64) + zone_len + 4 + payload.len() as u64;
+        payload.truncate(len);
+        Ok((payload, read))
     }
 }
 
@@ -238,12 +252,16 @@ mod tests {
         let sealed = write_segment(&dir, 7, &records, &reg).unwrap();
         let reopened = Segment::open(&dir, 7).unwrap();
         assert_eq!(reopened.zone, sealed.zone);
-        let (got, bytes) = reopened.read_payload(true).unwrap();
-        assert_eq!(*got, records);
+        assert_eq!(reopened.read_records().unwrap(), records);
+        let (got, bytes) = reopened.read_block(true).unwrap();
+        assert_eq!(
+            (0..got.len()).map(|i| got.row(i)).collect::<Vec<_>>(),
+            records
+        );
         assert!(bytes > 0, "first read touches the file");
-        let (_, bytes) = reopened.read_payload(true).unwrap();
+        let (_, bytes) = reopened.read_block(true).unwrap();
         assert_eq!(bytes, 0, "second read is a cache hit");
-        let (_, bytes) = reopened.read_payload(false).unwrap();
+        let (_, bytes) = reopened.read_block(false).unwrap();
         assert!(bytes > 0, "uncached read touches the file again");
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -258,7 +276,8 @@ mod tests {
         bytes[flip] ^= 0xFF;
         std::fs::write(&sealed.path, &bytes).unwrap();
         let reopened = Segment::open(&dir, 1).unwrap();
-        assert!(reopened.read_payload(false).is_err());
+        assert!(reopened.read_block(false).is_err());
+        assert!(reopened.read_records().is_err());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

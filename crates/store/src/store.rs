@@ -13,7 +13,8 @@
 //! partitions whose tail reaches the configured threshold are sealed
 //! into zone-mapped segments. Scans prune at two levels — whole
 //! partitions by system and day, then sealed segments by zone map —
-//! before any payload is read.
+//! before any payload is read, then select from each segment's
+//! columnar block a column at a time (see `column`).
 
 use std::collections::BTreeMap;
 use std::io;
@@ -24,6 +25,7 @@ use sclog_types::segment::{system_code, system_from_code, system_slug};
 use sclog_types::{AlertType, CategoryId, NodeId, ScanStats, SystemId, Timestamp};
 
 use crate::catalog::Catalog;
+use crate::column::{Block, CompiledFilter, Covered, Run};
 use crate::partition::Partition;
 use crate::record::StoredAlert;
 use crate::varint::corrupt;
@@ -40,7 +42,7 @@ const CATALOG_FILE: &str = "catalog.bin";
 pub struct StoreConfig {
     /// Tail size at which a partition is auto-sealed on append.
     pub seal_records: usize,
-    /// Memoize decoded segment payloads for the store's lifetime.
+    /// Memoize decoded segment blocks for the store's lifetime.
     /// Serving daemons want this; benches measuring real reads do not.
     pub cache_payloads: bool,
 }
@@ -262,9 +264,8 @@ impl SegmentStore {
             let _span = rec.span(metrics.wal);
             for (key, batch) in &batches {
                 let partition = self.partition_mut(*key)?;
-                partition.append(batch)?;
+                bytes += partition.append(batch)?;
                 appended += batch.len() as u64;
-                bytes += (batch.len() * std::mem::size_of::<StoredAlert>()) as u64;
             }
             rec.stage_items(metrics.wal, appended, bytes);
         }
@@ -317,40 +318,46 @@ impl SegmentStore {
         Ok(removed)
     }
 
-    /// Runs `filter` over the store, calling `visit` on every match —
-    /// the store's one scan loop. Matches arrive in storage order
-    /// (partitions by `(system, day)`, then segments, then the WAL
-    /// tail), not `(time, seq)` order; nothing beyond one decoded
-    /// segment payload is buffered, whatever the hit count.
+    /// Runs `filter` over the store, handing `visit` the matches of
+    /// each sealed segment and of each partition's unsealed tail as
+    /// sorted [`Run`]s of at most [`RUN_ROWS`](crate::RUN_ROWS) rows —
+    /// the store's one scan loop. Within a segment (or tail) matches
+    /// arrive in `(time, seq)` order; segments arrive in storage order
+    /// (partitions by `(system, day)`, then segments, then the tail).
+    /// Nothing beyond one decoded segment block is buffered, whatever
+    /// the hit count.
+    ///
+    /// The filter is compiled once. Each segment's block is scanned a
+    /// column at a time: the time window is a binary search on the
+    /// sorted `time` column, every other predicate builds 64-row
+    /// selection words from its own column, and — with `prune` set —
+    /// a predicate the zone map proves true for every row is skipped.
+    /// A partition's unsealed tail is copied into a sorted block of its
+    /// own for the scan and selected the same way.
     ///
     /// With `prune` set, whole partitions are skipped by system and
     /// day and sealed segments by zone map before any payload is
-    /// read; pruning is conservative, so the visited set is identical
-    /// to a full scan's. The returned [`ScanStats`] is this scan's
-    /// by-value accounting — what pruning skipped versus what was
-    /// read and decoded — and the same numbers are credited to the
+    /// read; pruning and covering are conservative, so the matches are
+    /// identical to a full scan's. The returned [`ScanStats`] is this
+    /// scan's by-value accounting — what pruning skipped versus what
+    /// was read and decoded — and the same numbers are credited to the
     /// cumulative `metrics` counters through `rec`.
     ///
     /// # Errors
     ///
     /// Any I/O failure or corruption reading a segment payload.
-    pub fn scan_with(
+    pub fn scan_runs(
         &self,
         filter: &ScanFilter,
         prune: bool,
         rec: &ThreadRecorder,
         metrics: &StoreMetrics,
-        mut visit: impl FnMut(&StoredAlert),
+        mut visit: impl FnMut(&Run<'_>),
     ) -> io::Result<ScanStats> {
         let day_from = filter.from.map(day_of);
         let day_to = filter.to.map(day_of);
         let system = filter.system.map(system_code);
-        let categories = &self.catalog.categories;
-        let mut visit_matches = |records: &[StoredAlert]| {
-            for r in records.iter().filter(|r| filter.matches(r, categories)) {
-                visit(r);
-            }
-        };
+        let compiled = CompiledFilter::compile(filter, &self.catalog.categories);
         let mut stats = ScanStats::default();
         for (&(part_system, day), partition) in &self.partitions {
             let partition_pruned = prune
@@ -368,19 +375,46 @@ impl SegmentStore {
                     stats.zones_pruned += 1;
                     continue;
                 }
-                let (records, read) = segment.read_payload(self.config.cache_payloads)?;
+                let (block, read) = segment.read_block(self.config.cache_payloads)?;
                 stats.zones_scanned += 1;
                 stats.bytes_read += read;
-                stats.rows_decoded += records.len() as u64;
-                visit_matches(&records);
+                stats.rows_decoded += block.len() as u64;
+                let covered = if prune {
+                    compiled.covered(&segment.zone)
+                } else {
+                    Covered::default()
+                };
+                stats.zones_covered += u64::from(covered.all());
+                compiled.scan_block(&block, covered, &mut visit);
             }
             stats.rows_decoded += partition.tail.len() as u64;
-            visit_matches(&partition.tail);
+            let block = Block::from_rows(&partition.tail)?;
+            compiled.scan_block(&block, Covered::default(), &mut visit);
         }
         rec.add(metrics.segments_pruned, stats.zones_pruned);
         rec.add(metrics.segments_scanned, stats.zones_scanned);
         rec.add(metrics.bytes_read, stats.bytes_read);
         Ok(stats)
+    }
+
+    /// [`SegmentStore::scan_runs`] one match at a time: `visit` sees
+    /// every match, in `(time, seq)` order within each segment (or
+    /// tail) and segments in storage order — not globally time-ordered.
+    ///
+    /// # Errors
+    ///
+    /// Any I/O failure or corruption reading a segment payload.
+    pub fn scan_with(
+        &self,
+        filter: &ScanFilter,
+        prune: bool,
+        rec: &ThreadRecorder,
+        metrics: &StoreMetrics,
+        mut visit: impl FnMut(&StoredAlert),
+    ) -> io::Result<ScanStats> {
+        self.scan_runs(filter, prune, rec, metrics, |run| {
+            run.alerts().for_each(|alert| visit(&alert));
+        })
     }
 
     /// [`SegmentStore::scan_with`] collected and sorted by `(time,
@@ -592,6 +626,66 @@ mod tests {
         );
         assert!(stats.partitions_pruned > 0, "off-system partitions skipped");
         assert!(stats.rows_decoded > 0);
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn wal_stage_bytes_equal_wal_file_growth() {
+        let root = temp_root("walbytes");
+        let mut store = SegmentStore::open(
+            &root,
+            StoreConfig {
+                seal_records: 1_000,
+                cache_payloads: false,
+            },
+        )
+        .unwrap();
+        let lib = store.register_category("PBS_CHK", SystemId::Liberty, AlertType::Software);
+        let host = store.intern_host("sn373");
+        let recorder = Recorder::new();
+        let metrics = StoreMetrics::register(&recorder);
+        let rec = recorder.thread("append");
+        let wal_bytes = || -> u64 {
+            let mut total = 0;
+            for system in std::fs::read_dir(&root).unwrap() {
+                let system = system.unwrap().path();
+                if !system.is_dir() {
+                    continue;
+                }
+                for day in std::fs::read_dir(system).unwrap() {
+                    let wal = day.unwrap().path().join("wal.bin");
+                    total += std::fs::metadata(wal).map_or(0, |m| m.len());
+                }
+            }
+            total
+        };
+        // The first append into each partition also creates its WAL
+        // header, which is not frame bytes: open both partitions first.
+        let alert = |i: i64| StoredAlert {
+            time: Timestamp::from_micros(i * DAY_MICROS / 3),
+            host,
+            category: lib,
+            severity: Severity::None,
+            message_index: i as usize,
+            filtered: i % 2 == 0,
+            seq: 0,
+        };
+        store
+            .partition_mut((system_code(SystemId::Liberty), 0))
+            .unwrap();
+        store
+            .partition_mut((system_code(SystemId::Liberty), 1))
+            .unwrap();
+        let before = wal_bytes();
+        for batch in [vec![alert(0)], (0..6).map(alert).collect(), vec![alert(4)]] {
+            store.append(&batch, &rec, &metrics).unwrap();
+        }
+        drop(rec);
+        let report = recorder.snapshot().report();
+        let wal = report.stage("store.wal").unwrap();
+        assert_eq!(wal.items, 8);
+        assert_eq!(wal.bytes, wal_bytes() - before);
+        assert!(wal.bytes < 8 * std::mem::size_of::<StoredAlert>() as u64);
         std::fs::remove_dir_all(&root).unwrap();
     }
 

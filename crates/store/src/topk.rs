@@ -1,17 +1,21 @@
 //! Bounded top-`limit` selection over a streaming scan.
 //!
-//! [`SegmentStore::scan_with`](crate::SegmentStore::scan_with) hands
-//! matches over in storage order; a consumer that wants only the
-//! first `limit` of them in `(time, seq)` order feeds each one to a
-//! [`TopK`], which keeps the `limit` smallest keys in a max-heap and
-//! counts everything it was offered. Memory is O(`limit`) however many
-//! records match, and because `seq` is unique the kept rows are
-//! exactly the first `limit` of the fully sorted answer.
+//! [`SegmentStore::scan_runs`](crate::SegmentStore::scan_runs) hands
+//! over each segment's matches as runs sorted by `(time, seq)`; a
+//! consumer that wants only the first `limit` matches of the whole
+//! answer feeds each run to a [`TopK`], which keeps the `limit`
+//! smallest keys in a max-heap and counts everything it was offered.
+//! Only the first `limit` matches of a run can enter it, and it stops
+//! a run at the first match that does not: every later match of the
+//! same run has a larger key. Memory is O(`limit`) however many records
+//! match, and because `seq` is unique the kept rows are exactly the
+//! first `limit` of the fully sorted answer.
 
 use std::collections::BinaryHeap;
 
 use sclog_types::Timestamp;
 
+use crate::column::Run;
 use crate::record::StoredAlert;
 
 /// The `limit` smallest `(time, seq)` records offered, plus a count of
@@ -41,14 +45,38 @@ impl TopK {
     /// `(time, seq)` keys offered so far.
     pub fn offer(&mut self, r: &StoredAlert) {
         self.total += 1;
-        if self.kept.len() < self.limit {
-            self.heap.push((r.time, r.seq, self.kept.len()));
-            self.kept.push(*r);
-        } else if let Some(mut max) = self.heap.peek_mut() {
-            if (r.time, r.seq) < (max.0, max.1) {
-                self.kept[max.2] = *r;
-                *max = (r.time, r.seq, max.2);
+        self.admit((r.time, r.seq), || *r);
+    }
+
+    /// Counts every match of `run` (a popcount) and keeps those among
+    /// the `limit` smallest keys offered so far, reading the run in
+    /// order only until a match is turned away.
+    pub fn offer_run(&mut self, run: &Run<'_>) {
+        self.total += run.count();
+        let block = run.block();
+        for i in run.rows().take(self.limit) {
+            let key = (Timestamp::from_micros(block.times()[i]), block.seqs()[i]);
+            if !self.admit(key, || block.row(i)) {
+                break;
             }
+        }
+    }
+
+    /// Keeps the record keyed `key` (built by `row` only if kept) when
+    /// it is among the `limit` smallest keys; returns whether it was.
+    fn admit(&mut self, key: (Timestamp, u64), row: impl FnOnce() -> StoredAlert) -> bool {
+        if self.kept.len() < self.limit {
+            self.heap.push((key.0, key.1, self.kept.len()));
+            self.kept.push(row());
+            return true;
+        }
+        match self.heap.peek_mut() {
+            Some(mut max) if key < (max.0, max.1) => {
+                self.kept[max.2] = row();
+                *max = (key.0, key.1, max.2);
+                true
+            }
+            _ => false,
         }
     }
 

@@ -97,12 +97,13 @@ impl Wal {
         ))
     }
 
-    /// Appends one batch as a single synced frame.
+    /// Appends one batch as a single synced frame, returning the bytes
+    /// the frame added to the file.
     ///
     /// # Errors
     ///
     /// Any I/O failure writing or syncing.
-    pub fn append(&mut self, records: &[StoredAlert]) -> io::Result<()> {
+    pub fn append(&mut self, records: &[StoredAlert]) -> io::Result<u64> {
         let mut payload = Vec::new();
         encode_batch(records, &mut payload);
         let mut frame = Vec::with_capacity(8 + payload.len());
@@ -112,7 +113,7 @@ impl Wal {
         self.file.write_all(&frame)?;
         self.file.sync_data()?;
         self.len += frame.len() as u64;
-        Ok(())
+        Ok(frame.len() as u64)
     }
 
     /// Discards every frame (after a seal), keeping the header.

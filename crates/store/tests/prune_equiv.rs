@@ -149,6 +149,13 @@ fn pruned_scan_is_result_identical_to_full_scan() {
                 pstats.rows_decoded <= fstats.rows_decoded,
                 "filter {filter:?}: pruned scan decoded more rows"
             );
+            // Covering is a zone-map proof too: only a pruning scan
+            // uses it, and only on segments it scanned.
+            assert!(
+                pstats.zones_covered <= pstats.zones_scanned,
+                "filter {filter:?}"
+            );
+            assert_eq!(fstats.zones_covered, 0, "filter {filter:?}");
         }
 
         // Reopening the store changes no answer either.

@@ -20,6 +20,10 @@ use crate::obs::ObsReport;
 /// The one schema version every trace-layer document carries.
 ///
 /// Single definition site, enforced by `scripts/tidy.sh` check 9.
+/// Version policy: adding a key to an object is compatible — readers
+/// ignore keys they do not know, so `zones_covered` joined the scan
+/// stats within v1 — while removing, renaming or re-typing a key, or
+/// changing what one means, takes a new version.
 pub const TRACE_FORMAT_VERSION: u16 = 1;
 
 /// The schema tag written into every trace-layer JSON document.
@@ -42,6 +46,11 @@ pub struct ScanStats {
     pub zones_pruned: u64,
     /// Sealed segments whose payloads were read and filtered.
     pub zones_scanned: u64,
+    /// Of the scanned segments, those answered without reading a
+    /// predicate column: the zone map proved every row matches (an
+    /// unconstrained filter covers every segment). Always
+    /// `≤ zones_scanned`.
+    pub zones_covered: u64,
     /// Payload bytes read from disk (0 for payload-cache hits).
     pub bytes_read: u64,
     /// Stored rows decoded and offered to the filter (segment payloads
@@ -57,6 +66,7 @@ impl ScanStats {
         self.partitions_scanned += other.partitions_scanned;
         self.zones_pruned += other.zones_pruned;
         self.zones_scanned += other.zones_scanned;
+        self.zones_covered += other.zones_covered;
         self.bytes_read += other.bytes_read;
         self.rows_decoded += other.rows_decoded;
     }
@@ -68,6 +78,7 @@ impl ScanStats {
             .uint("partitions_scanned", self.partitions_scanned)
             .uint("zones_pruned", self.zones_pruned)
             .uint("zones_scanned", self.zones_scanned)
+            .uint("zones_covered", self.zones_covered)
             .uint("bytes_read", self.bytes_read)
             .uint("rows_decoded", self.rows_decoded);
         o.finish()
@@ -196,6 +207,7 @@ mod tests {
                 partitions_scanned: 2,
                 zones_pruned: 40,
                 zones_scanned: 3,
+                zones_covered: 1,
                 bytes_read: 65_536,
                 rows_decoded: 1_024,
             }),
@@ -224,6 +236,7 @@ mod tests {
             "\"partitions_scanned\"",
             "\"zones_pruned\"",
             "\"zones_scanned\"",
+            "\"zones_covered\"",
             "\"bytes_read\"",
             "\"rows_decoded\"",
         ] {
@@ -277,6 +290,7 @@ mod tests {
             partitions_scanned: 2,
             zones_pruned: 3,
             zones_scanned: 4,
+            zones_covered: 7,
             bytes_read: 5,
             rows_decoded: 6,
         };
@@ -288,6 +302,7 @@ mod tests {
                 partitions_scanned: 4,
                 zones_pruned: 6,
                 zones_scanned: 8,
+                zones_covered: 14,
                 bytes_read: 10,
                 rows_decoded: 12,
             }

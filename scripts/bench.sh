@@ -40,8 +40,9 @@
 # stage waterfall captured on the same host. Timed arms always run
 # with obs off; the snapshot run is separate and never timed.
 #
-# BENCH_store.json carries two derived records alongside the per-arm
-# timings (append throughput, pruned vs full scan, cold boot):
+# BENCH_store.json carries five derived records alongside the per-arm
+# timings (append throughput, pruned vs full scan, streaming
+# consumers, column kernel, cold boot):
 #   {"record":"prune_speedup"}    full-scan / pruned-scan median ratio
 #                                 for a one-day one-system window over
 #                                 a 16-day five-system store — the
@@ -52,13 +53,19 @@
 #                                 them versus re-running simulation +
 #                                 parse + tag + filter, the boot path
 #                                 sclogd --data replaces
-#   {"record":"scan_agg"}         materialise+sort+fold / scan_with fold
+#   {"record":"scan_agg"}         materialise+sort+fold / scan_runs fold
 #                                 median ratio for a per-category count
 #                                 over every record (the aggregate
 #                                 recompute's shape)
 #   {"record":"scan_limit"}       materialise+sort+take / streaming
 #                                 count + top-100 heap on a wide filter
 #                                 (a truncated /alerts answer's shape)
+#   {"record":"scan_count"}       row-at-a-time ScanFilter::matches loop
+#                                 / column kernel median ratio for
+#                                 count + top-100 on a survivors-only
+#                                 and a one-category filter over warm
+#                                 blocks (expected well above the 5x
+#                                 floor verify.sh enforces)
 set -eu
 
 cd "$(dirname "$0")/.."

@@ -44,7 +44,12 @@
 #      through `scan_with`, so a request's memory is bounded by what it
 #      returns, not by how many alerts match. StoreInner::scan (defined
 #      in store.rs) stays as the test oracle and benchmark API, and
-#      test modules may call it.
+#      test modules may call it. Likewise non-test code in
+#      crates/store/src/store.rs and crates/sclogd/src/{format,
+#      aggregate}.rs must not call the row oracle
+#      `ScanFilter::matches(record, registry)`: scans select a column
+#      at a time through the compiled filter, and a row-at-a-time
+#      fallback is what this catches.
 #
 # Runs standalone or as part of scripts/verify.sh --lint.
 set -eu
@@ -225,6 +230,19 @@ for f in crates/sclogd/src/format.rs crates/sclogd/src/aggregate.rs \
         grep -E '\.scan\(' | grep -vE '^[0-9]+: *//' || true)
     if [ -n "$hit" ]; then
         complain "$f: materialising .scan( on the server read path (stream with scan_with): $(printf '%s' "$hit" | head -1)"
+    fi
+done
+
+# The row oracle is the only two-argument `.matches(` in these files
+# (host globs take one), so a call with a comma inside the parentheses,
+# or the path form, is the oracle.
+for f in crates/store/src/store.rs crates/sclogd/src/format.rs \
+    crates/sclogd/src/aggregate.rs; do
+    [ -f "$f" ] || { complain "$f: missing (column scan path)"; continue; }
+    hit=$(awk '/^ *(#\[cfg\(test\)\]|mod tests)/ { exit } { print NR ":" $0 }' "$f" |
+        grep -E '\.matches\([^)]*,|ScanFilter::matches' | grep -vE '^[0-9]+: *//' || true)
+    if [ -n "$hit" ]; then
+        complain "$f: row oracle ScanFilter::matches on the scan path (select through the compiled filter): $(printf '%s' "$hit" | head -1)"
     fi
 done
 

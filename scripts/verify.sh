@@ -133,6 +133,31 @@ bench_smoke() {
             }
         }'
     echo "   store prune-speedup floor OK"
+    # Column-kernel floor: count + top-100 on a survivors-only and a
+    # one-category filter over warm blocks must run at least 5x faster
+    # through the column kernel than through a row-at-a-time
+    # ScanFilter::matches loop over the same segments. Typical ratios
+    # are well above the floor, so a trip means the kernel fell back to
+    # row work (e.g. the selection words or the per-run early stop
+    # stopped working), not host jitter.
+    echo "$store_out" | awk '
+        /"record":"scan_count"/ {
+            if (match($0, /"speedup":[0-9.]+/)) {
+                v = substr($0, RSTART + 10, RLENGTH - 10) + 0
+                seen = 1
+                if (v < 5) {
+                    printf "bench-smoke FAILED: column-kernel speedup %sx below the 5x floor\n", v
+                    exit 1
+                }
+            }
+        }
+        END {
+            if (!seen) {
+                print "bench-smoke FAILED: no scan_count record emitted"
+                exit 1
+            }
+        }'
+    echo "   store column-kernel floor OK"
 }
 
 obs_smoke() {
