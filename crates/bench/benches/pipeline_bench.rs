@@ -4,7 +4,9 @@
 //! Arms:
 //!
 //! * `parse` / `parse_reader` — materialized vs chunked-incremental
-//!   line parsing.
+//!   line parsing; `parse_header` — the header-only parse (time and
+//!   source, no `Message`) the streaming path runs, paired with
+//!   `parse`.
 //! * `ingest_batch` — the three materialized passes `Study::run` used
 //!   to make, fed from text: parse everything, render-and-tag
 //!   everything, filter everything.
@@ -40,11 +42,24 @@ fn main() {
 
     let mut group = BenchGroup::new("pipeline_liberty");
     group.sample_size(20).throughput_elements(lines);
-    group.bench("parse", || {
-        let mut reader = LogReader::for_system(SystemId::Liberty);
-        reader.push_text(&text);
-        reader.stats().parsed
-    });
+    // Full-message parse (the batch path) against the header-only
+    // parse the streaming path runs, interleaved.
+    group.bench_pair(
+        "parse",
+        || {
+            let mut reader = LogReader::for_system(SystemId::Liberty);
+            reader.push_text(&text);
+            reader.stats().parsed
+        },
+        "parse_header",
+        || {
+            let mut reader = LogReader::for_system(SystemId::Liberty);
+            for line in sclog_parse::logical_lines(&text) {
+                reader.push_header(line);
+            }
+            reader.stats().parsed
+        },
+    );
     group.bench("parse_reader", || {
         let mut reader = LogReader::for_system(SystemId::Liberty);
         reader.push_reader(text.as_bytes()).unwrap();

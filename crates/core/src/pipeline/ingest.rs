@@ -7,22 +7,26 @@
 //! ```text
 //!  reader thread        parse stage (caller)      TagPool      consumer thread
 //!  ─────────────        ────────────────────      ───────      ───────────────
-//!  LineChunker     ──▶  LogReader::push_line ──▶  tag the ──▶  reassemble,
+//!  LineChunker     ──▶  push_header per line ──▶  tag the ──▶  reassemble,
 //!  (bounded text        build LineBatch           RAW line     filter stream
 //!   channel)            (spans + time/source)
 //! ```
 //!
 //! The tagging stage works on the **raw line text**, not a re-rendered
 //! message — exactly how the administrators' awk rules ran — which
-//! also skips the render that dominates batch tagging cost. Parsed
-//! `Message`s are drained per chunk and dropped once their header
-//! fields are copied into [`sclog_rules::LineRef`]s, so no stage ever
-//! holds the whole log.
+//! also skips the render that dominates batch tagging cost. The parse
+//! stage therefore reads only each line's header
+//! ([`LogReader::push_header`]: the timestamp and the interned source,
+//! under the same rejection rules and accounting as a full parse) into
+//! a [`sclog_rules::LineRef`]; facility and body are never copied out,
+//! so parsing a line allocates nothing and no stage ever holds the
+//! whole log.
 //!
-//! [`ingest_batch`] is the materialize-everything reference: identical
-//! output, whole-log working set. The equivalence of the two paths
-//! (raw-line vs rendered-message tagging included) is covered by
-//! property tests over all five systems.
+//! [`ingest_batch`] is the materialize-everything reference: full
+//! `Message` parse, identical output, whole-log working set. The
+//! equivalence of the two paths (header vs full parse, raw-line vs
+//! rendered-message tagging) is covered by property tests over all
+//! five systems, corrupt lines included.
 
 use super::{channel, InFlightGauge, PipeMetrics, PipelineStats, Reassembler, SerialMetrics};
 use sclog_filter::{AlertFilter, SpatioTemporalFilter};
@@ -73,7 +77,8 @@ impl IngestConfig {
 pub struct IngestResult {
     /// Alerts the expert rules tagged, in message order.
     pub tagged: TaggedLog,
-    /// Alerts surviving the spatio-temporal filter.
+    /// Alerts surviving the spatio-temporal filter: a subsequence of
+    /// `tagged`, in message order.
     pub filtered: Vec<Alert>,
     /// Line accounting from the parser.
     pub parse: ParseStats,
@@ -372,14 +377,16 @@ fn ingest_serial(
 }
 
 /// Parses one text chunk line by line, returning a [`LineRef`] per
-/// accepted line (span in `text` plus the parsed header fields).
+/// accepted line: its span in `text` plus the header fields from
+/// [`LogReader::push_header`]. Nothing else of a line is parsed — the
+/// tagger reads the raw span — so a line costs no allocation here.
 /// Line splitting matches [`sclog_parse::logical_lines`]:
 /// `\n`-separated, a trailing `\r` stripped from both the parsed text
 /// and the recorded span — including on a final line that lacks its
 /// terminating newline, so a CRLF log cut mid-ending parses the same
 /// here as in the batch path.
 fn parse_chunk(reader: &mut LogReader, text: &str, next_index: &mut usize) -> Vec<LineRef> {
-    let mut spans = Vec::new();
+    let mut lines = Vec::new();
     let mut pos = 0usize;
     for piece in text.split('\n') {
         if pos == text.len() {
@@ -388,27 +395,18 @@ fn parse_chunk(reader: &mut LogReader, text: &str, next_index: &mut usize) -> Ve
         let start = pos;
         pos += piece.len() + 1;
         let line = piece.strip_suffix('\r').unwrap_or(piece);
-        if reader.push_line(line).is_some() {
-            spans.push((start, start + line.len()));
+        if let Some((time, source)) = reader.push_header(line) {
+            lines.push(LineRef {
+                start,
+                end: start + line.len(),
+                index: *next_index,
+                time,
+                source,
+            });
+            *next_index += 1;
         }
     }
-    let messages = reader.take_messages();
-    debug_assert_eq!(messages.len(), spans.len());
-    spans
-        .into_iter()
-        .zip(messages)
-        .map(|((start, end), msg)| {
-            let index = *next_index;
-            *next_index += 1;
-            LineRef {
-                start,
-                end,
-                index,
-                time: msg.time,
-                source: msg.source,
-            }
-        })
-        .collect()
+    lines
 }
 
 /// The materialized reference path: parse everything, tag the rendered

@@ -13,7 +13,7 @@ use sclog_core::Study;
 use sclog_filter::{AlertFilter, SpatioTemporalFilter};
 use sclog_rules::RuleSet;
 use sclog_simgen::Scale;
-use sclog_testkit::check_n;
+use sclog_testkit::{check_n, Gen};
 use sclog_types::{CategoryRegistry, ALL_SYSTEMS};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -92,9 +92,41 @@ fn study_run_matches_batch_run() {
     });
 }
 
+/// Injects lines the parser must reject (or skip) into a rendered
+/// log: blank and whitespace-only lines, lines cut to two tokens, a
+/// garbled leading token, and an impossible `Feb 31` date, which
+/// still moves syslog year recovery. Some kept lines get CRLF endings.
+/// simgen text itself parses with no rejections, so without this the
+/// streaming path would never see a rejected line.
+fn inject_corruption(g: &mut Gen, text: &str) -> String {
+    // About twenty injections per log, cycling through every kind, at
+    // a seeded offset.
+    let stride = (text.lines().count() / 20).max(1);
+    let offset = g.below(stride as u64) as usize;
+    let mut out = String::with_capacity(text.len() + text.len() / 8);
+    for (i, line) in text.lines().enumerate() {
+        if i % stride == offset {
+            let tokens: Vec<&str> = line.split_whitespace().collect();
+            let bad = match (i / stride) % 5 {
+                0 => String::new(),
+                1 => " \t ".to_owned(),
+                2 => tokens[..2].join(" "),
+                3 => format!("Foo {}", tokens[1..].join(" ")),
+                _ => format!("Feb 31 00:00:00 {}", tokens[3..].join(" ")),
+            };
+            out.push_str(&bad);
+            out.push('\n');
+        }
+        out.push_str(line);
+        out.push_str(if g.chance(0.05) { "\r\n" } else { "\n" });
+    }
+    out
+}
+
 /// Raw-line streaming ingestion equals the parse-then-render batch
-/// path on every system's rendered log: same alerts, same filtered
-/// set, same parse accounting.
+/// path on every system's rendered log with corrupt lines injected:
+/// same alerts, same filtered set, same parse accounting. The batch
+/// path parses full messages; the streaming path parses headers only.
 #[test]
 fn ingest_streaming_equals_batch_everywhere() {
     check_n("ingest_streaming_equals_batch", 1, |g| {
@@ -102,10 +134,16 @@ fn ingest_streaming_equals_batch_everywhere() {
         let chunk_bytes = *g.pick(&[256usize, 4 * 1024, 64 * 1024]);
         let filter = SpatioTemporalFilter::paper();
         for system in ALL_SYSTEMS.iter().copied() {
-            let text = sclog_simgen::generate(system, prop_scale(), seed).render();
+            let clean = sclog_simgen::generate(system, prop_scale(), seed).render();
+            let text = inject_corruption(g, &clean);
             let mut registry = CategoryRegistry::new();
             let rules = RuleSet::builtin(system, &mut registry);
             let batch = pipeline::ingest_batch(system, &text, &rules, &filter, 1);
+            assert!(
+                batch.parse.rejected() > 0 && batch.parse.empty > 0,
+                "{system:?} seed={seed}: corruption must reach the parser: {:?}",
+                batch.parse
+            );
             for &threads in &THREAD_COUNTS {
                 let config = IngestConfig {
                     threads,

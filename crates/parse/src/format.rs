@@ -1,9 +1,17 @@
 //! The three concrete line formats and their parsers.
+//!
+//! Every parse starts with one header step per format: tokenise the
+//! line, apply the rejection rules (`EmptyLine`, `TooShort`,
+//! `BadTimestamp`), recover the year, intern the source. Both
+//! [`LineFormat::parse_header`] and [`LineFormat::parse`] run that
+//! step; only `parse` goes on to cut the severity, facility and body
+//! out of the rest of the line.
 
 use crate::error::ParseError;
 use sclog_types::time::{days_in_month, month_from_abbrev};
 use sclog_types::{
-    BglSeverity, Duration, Message, Severity, SourceInterner, SyslogSeverity, SystemId, Timestamp,
+    BglSeverity, Duration, Message, NodeId, Severity, SourceInterner, SyslogSeverity, SystemId,
+    Timestamp,
 };
 
 /// Mutable state threaded through parsing: the source interner and the
@@ -24,6 +32,12 @@ impl ParseContext {
             year: start_year,
             last_month: 1,
         }
+    }
+
+    /// The year the next syslog line is assumed to fall in, before
+    /// its own month is seen (rollover included).
+    pub fn year(&self) -> i32 {
+        self.year
     }
 
     /// Resolves the year for a syslog month token, detecting New Year
@@ -57,6 +71,24 @@ pub trait LineFormat {
         out
     }
 
+    /// Parses one line's header: its timestamp and interned source.
+    ///
+    /// This is the first step of [`LineFormat::parse`], so it accepts
+    /// and rejects exactly the lines `parse` does, with the same
+    /// error, and moves the year recovery and the interner exactly as
+    /// `parse` would. On success it allocates nothing unless the
+    /// source is a name the interner has not seen.
+    ///
+    /// # Errors
+    ///
+    /// The [`ParseError`] that [`LineFormat::parse`] returns for the
+    /// same line.
+    fn parse_header(
+        &self,
+        line: &str,
+        ctx: &mut ParseContext,
+    ) -> Result<(Timestamp, NodeId), ParseError>;
+
     /// Parses one line.
     ///
     /// # Errors
@@ -70,6 +102,69 @@ pub trait LineFormat {
         system: SystemId,
         ctx: &mut ParseContext,
     ) -> Result<Message, ParseError>;
+}
+
+/// What a format's header step yields: the line's time and interned
+/// source, and its first `N` tokens, after which the body starts.
+type Header<'a, const N: usize> = ((Timestamp, NodeId), [&'a str; N]);
+
+/// The tokeniser every format shares: the first `N` whitespace-
+/// separated tokens of `line`, as `str::split_whitespace` would yield
+/// them. A blank line is [`ParseError::EmptyLine`]; fewer than `N`
+/// tokens is [`ParseError::TooShort`] against the format's `needed`
+/// field count.
+///
+/// Header tokens are ASCII on every real line, so bytes are scanned
+/// directly; the first non-ASCII byte met before the `N`th token ends
+/// hands the whole line to the `char`-level path, which also knows
+/// the non-ASCII Unicode spaces.
+fn leading_tokens<const N: usize>(line: &str, needed: usize) -> Result<[&str; N], ParseError> {
+    let bytes = line.as_bytes();
+    let mut tokens = [""; N];
+    let mut pos = 0;
+    for (found, token) in tokens.iter_mut().enumerate() {
+        while bytes.get(pos).is_some_and(|&b| is_ascii_space(b)) {
+            pos += 1;
+        }
+        if pos == bytes.len() {
+            return Err(if found == 0 {
+                ParseError::EmptyLine
+            } else {
+                ParseError::TooShort { found, needed }
+            });
+        }
+        let start = pos;
+        while let Some(&b) = bytes.get(pos).filter(|&&b| !is_ascii_space(b)) {
+            if !b.is_ascii() {
+                return leading_tokens_unicode(line, needed);
+            }
+            pos += 1;
+        }
+        *token = &line[start..pos];
+    }
+    Ok(tokens)
+}
+
+/// [`leading_tokens`] by `char`, for lines with non-ASCII header text.
+fn leading_tokens_unicode<const N: usize>(
+    line: &str,
+    needed: usize,
+) -> Result<[&str; N], ParseError> {
+    if line.trim().is_empty() {
+        return Err(ParseError::EmptyLine);
+    }
+    let mut tokens = [""; N];
+    let mut it = line.split_whitespace();
+    for (found, token) in tokens.iter_mut().enumerate() {
+        *token = it.next().ok_or(ParseError::TooShort { found, needed })?;
+    }
+    Ok(tokens)
+}
+
+/// The ASCII characters `char::is_whitespace` accepts: tab, line
+/// feed, vertical tab, form feed, carriage return and space.
+fn is_ascii_space(b: u8) -> bool {
+    matches!(b, b'\t'..=b'\r' | b' ')
 }
 
 /// BSD syslog: `Nov  9 12:01:01 host facility: body`, optionally with a
@@ -88,6 +183,29 @@ impl SyslogFormat {
     /// The variant that records a severity token (Red Storm syslog).
     pub fn with_severity() -> Self {
         SyslogFormat { severity: true }
+    }
+
+    /// Header step: `month day hh:mm:ss host`.
+    fn header<'a>(
+        &self,
+        line: &'a str,
+        ctx: &mut ParseContext,
+    ) -> Result<Header<'a, 4>, ParseError> {
+        let needed = if self.severity { 5 } else { 4 };
+        let tokens = leading_tokens(line, needed)?;
+        let [mon_tok, day_tok, time_tok, host] = tokens;
+        let bad = || ParseError::BadTimestamp {
+            token: format!("{mon_tok} {day_tok} {time_tok}"),
+        };
+        let month = month_from_abbrev(mon_tok).ok_or_else(bad)?;
+        let day: u32 = day_tok.parse().map_err(|_| bad())?;
+        let (hh, mm, ss) = parse_hms(time_tok).ok_or_else(bad)?;
+        let year = ctx.resolve_year(month);
+        if day == 0 || day > days_in_month(year, month) || hh > 23 || mm > 59 || ss > 59 {
+            return Err(bad());
+        }
+        let time = Timestamp::from_ymd_hms(year, month, day, hh, mm, ss);
+        Ok(((time, ctx.interner.intern(host)), tokens))
     }
 }
 
@@ -109,42 +227,23 @@ impl LineFormat for SyslogFormat {
         }
     }
 
+    fn parse_header(
+        &self,
+        line: &str,
+        ctx: &mut ParseContext,
+    ) -> Result<(Timestamp, NodeId), ParseError> {
+        self.header(line, ctx).map(|(fields, _)| fields)
+    }
+
     fn parse(
         &self,
         line: &str,
         system: SystemId,
         ctx: &mut ParseContext,
     ) -> Result<Message, ParseError> {
-        if line.trim().is_empty() {
-            return Err(ParseError::EmptyLine);
-        }
-        let needed = if self.severity { 5 } else { 4 };
-        let mut it = line.split_whitespace();
-        let mon_tok = it.next().ok_or(ParseError::EmptyLine)?;
-        let day_tok = it.next().ok_or(ParseError::TooShort { found: 1, needed })?;
-        let time_tok = it.next().ok_or(ParseError::TooShort { found: 2, needed })?;
-        let host = it.next().ok_or(ParseError::TooShort { found: 3, needed })?;
-
-        let month = month_from_abbrev(mon_tok).ok_or_else(|| ParseError::BadTimestamp {
-            token: format!("{mon_tok} {day_tok} {time_tok}"),
-        })?;
-        let day: u32 = day_tok.parse().map_err(|_| ParseError::BadTimestamp {
-            token: format!("{mon_tok} {day_tok} {time_tok}"),
-        })?;
-        let (hh, mm, ss) = parse_hms(time_tok).ok_or_else(|| ParseError::BadTimestamp {
-            token: format!("{mon_tok} {day_tok} {time_tok}"),
-        })?;
-        let year = ctx.resolve_year(month);
-        if day == 0 || day > days_in_month(year, month) || hh > 23 || mm > 59 || ss > 59 {
-            return Err(ParseError::BadTimestamp {
-                token: format!("{mon_tok} {day_tok} {time_tok}"),
-            });
-        }
-        let time = Timestamp::from_ymd_hms(year, month, day, hh, mm, ss);
-        let source = ctx.interner.intern(host);
-
+        let ((time, source), tokens) = self.header(line, ctx)?;
         let mut severity = Severity::None;
-        let mut rest: &str = remainder_after(line, &[mon_tok, day_tok, time_tok, host]);
+        let mut rest: &str = remainder_after(line, &tokens);
         if self.severity {
             let mut it2 = rest.split_whitespace();
             if let Some(tok) = it2.next() {
@@ -177,6 +276,20 @@ impl LineFormat for SyslogFormat {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BglFormat;
 
+impl BglFormat {
+    /// Header step: `timestamp location RAS facility severity`. The
+    /// "RAS" marker and the severity may be garbled; they carry no
+    /// header data.
+    fn header<'a>(line: &'a str, ctx: &mut ParseContext) -> Result<Header<'a, 5>, ParseError> {
+        let tokens = leading_tokens(line, 5)?;
+        let [ts_tok, loc, _, _, _] = tokens;
+        let time = parse_bgl_timestamp(ts_tok).ok_or_else(|| ParseError::BadTimestamp {
+            token: ts_tok.to_owned(),
+        })?;
+        Ok(((time, ctx.interner.intern(loc)), tokens))
+    }
+}
+
 impl LineFormat for BglFormat {
     fn render_into(&self, msg: &Message, interner: &SourceInterner, out: &mut String) {
         use std::fmt::Write as _;
@@ -195,51 +308,32 @@ impl LineFormat for BglFormat {
         );
     }
 
+    fn parse_header(
+        &self,
+        line: &str,
+        ctx: &mut ParseContext,
+    ) -> Result<(Timestamp, NodeId), ParseError> {
+        Self::header(line, ctx).map(|(fields, _)| fields)
+    }
+
     fn parse(
         &self,
         line: &str,
         system: SystemId,
         ctx: &mut ParseContext,
     ) -> Result<Message, ParseError> {
-        if line.trim().is_empty() {
-            return Err(ParseError::EmptyLine);
-        }
-        let mut it = line.split_whitespace();
-        let ts_tok = it.next().ok_or(ParseError::EmptyLine)?;
-        let loc = it.next().ok_or(ParseError::TooShort {
-            found: 1,
-            needed: 5,
-        })?;
-        let ras = it.next().ok_or(ParseError::TooShort {
-            found: 2,
-            needed: 5,
-        })?;
-        let facility = it.next().ok_or(ParseError::TooShort {
-            found: 3,
-            needed: 5,
-        })?;
-        let sev_tok = it.next().ok_or(ParseError::TooShort {
-            found: 4,
-            needed: 5,
-        })?;
-
-        let time = parse_bgl_timestamp(ts_tok).ok_or_else(|| ParseError::BadTimestamp {
-            token: ts_tok.to_owned(),
-        })?;
-        let source = ctx.interner.intern(loc);
-        // "RAS" marker may be garbled; tolerated (it carries no data).
-        let _ = ras;
+        let ((time, source), tokens) = Self::header(line, ctx)?;
+        let [_, _, _, facility, sev_tok] = tokens;
         let severity = sev_tok
             .parse::<BglSeverity>()
             .map_or(Severity::None, Severity::Bgl);
-        let body = remainder_after(line, &[ts_tok, loc, ras, facility, sev_tok]).to_owned();
         Ok(Message {
             system,
             time,
             source,
             facility: facility.to_owned(),
             severity,
-            body,
+            body: remainder_after(line, &tokens).to_owned(),
         })
     }
 }
@@ -248,6 +342,25 @@ impl LineFormat for BglFormat {
 /// <event> body`. Reliable TCP transport, no severity analog.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EventFormat;
+
+impl EventFormat {
+    /// Header step: `EV secs component event`. The marker may be
+    /// garbled; an epoch that does not fit a [`Timestamp`] is
+    /// unrecoverable.
+    fn header<'a>(line: &'a str, ctx: &mut ParseContext) -> Result<Header<'a, 4>, ParseError> {
+        let tokens = leading_tokens(line, 4)?;
+        let [_, secs_tok, src, _] = tokens;
+        let time = secs_tok
+            .parse::<i64>()
+            .ok()
+            .and_then(|secs| secs.checked_mul(1_000_000))
+            .map(Timestamp::from_micros)
+            .ok_or_else(|| ParseError::BadTimestamp {
+                token: secs_tok.to_owned(),
+            })?;
+        Ok(((time, ctx.interner.intern(src)), tokens))
+    }
+}
 
 impl LineFormat for EventFormat {
     fn render_into(&self, msg: &Message, interner: &SourceInterner, out: &mut String) {
@@ -266,42 +379,28 @@ impl LineFormat for EventFormat {
         );
     }
 
+    fn parse_header(
+        &self,
+        line: &str,
+        ctx: &mut ParseContext,
+    ) -> Result<(Timestamp, NodeId), ParseError> {
+        Self::header(line, ctx).map(|(fields, _)| fields)
+    }
+
     fn parse(
         &self,
         line: &str,
         system: SystemId,
         ctx: &mut ParseContext,
     ) -> Result<Message, ParseError> {
-        if line.trim().is_empty() {
-            return Err(ParseError::EmptyLine);
-        }
-        let mut it = line.split_whitespace();
-        let marker = it.next().ok_or(ParseError::EmptyLine)?;
-        let secs_tok = it.next().ok_or(ParseError::TooShort {
-            found: 1,
-            needed: 4,
-        })?;
-        let src = it.next().ok_or(ParseError::TooShort {
-            found: 2,
-            needed: 4,
-        })?;
-        let event = it.next().ok_or(ParseError::TooShort {
-            found: 3,
-            needed: 4,
-        })?;
-        // Marker may be garbled; tolerated.
-        let _ = marker;
-        let secs: i64 = secs_tok.parse().map_err(|_| ParseError::BadTimestamp {
-            token: secs_tok.to_owned(),
-        })?;
-        let body = remainder_after(line, &[marker, secs_tok, src, event]).to_owned();
+        let ((time, source), tokens) = Self::header(line, ctx)?;
         Ok(Message {
             system,
-            time: Timestamp::from_secs(secs),
-            source: ctx.interner.intern(src),
-            facility: event.to_owned(),
+            time,
+            source,
+            facility: tokens[3].to_owned(),
             severity: Severity::None,
-            body,
+            body: remainder_after(line, &tokens).to_owned(),
         })
     }
 }
@@ -318,7 +417,9 @@ fn parse_hms(tok: &str) -> Option<(u32, u32, u32)> {
     Some((hh, mm, ss))
 }
 
-/// Parses `YYYY-MM-DD-HH.MM.SS.ffffff`.
+/// Parses `YYYY-MM-DD-HH.MM.SS.ffffff`. The year must have at most
+/// four digits, which keeps every accepted time inside [`Timestamp`]'s
+/// range.
 fn parse_bgl_timestamp(tok: &str) -> Option<Timestamp> {
     let mut parts = tok.splitn(4, '-');
     let year: i32 = parts.next()?.parse().ok()?;
@@ -330,7 +431,8 @@ fn parse_bgl_timestamp(tok: &str) -> Option<Timestamp> {
     let mm: u32 = t.next()?.parse().ok()?;
     let ss: u32 = t.next()?.parse().ok()?;
     let us: u32 = t.next()?.parse().ok()?;
-    if !(1..=12).contains(&month)
+    if !(0..=9999).contains(&year)
+        || !(1..=12).contains(&month)
         || day == 0
         || day > days_in_month(year, month)
         || hh > 23
@@ -396,6 +498,49 @@ mod tests {
         let mut i = SourceInterner::new();
         i.intern(name);
         i
+    }
+
+    #[test]
+    fn ascii_space_is_char_whitespace() {
+        for b in 0..=127u8 {
+            assert_eq!(is_ascii_space(b), char::from(b).is_whitespace(), "{b:#x}");
+        }
+    }
+
+    #[test]
+    fn leading_tokens_match_split_whitespace() {
+        let lines = [
+            "",
+            " ",
+            "\t\r",
+            "\u{3000}",
+            " \u{a0} ",
+            "a",
+            " a ",
+            "a b",
+            "a\x0bb\x0cc d e f",
+            "Jan  2 03:04:05 host kernel: x",
+            "Jan\u{3000}2 03:04:05 h k",
+            "Jan 2\u{a0}03 h",
+            "é b c d",
+            "a b c dé",
+            "a b c d é",
+            "a\u{85}b c d",
+            "\u{2028}a b c d",
+        ];
+        for line in lines {
+            let got = leading_tokens::<4>(line, 4);
+            let want = if line.trim().is_empty() {
+                Err(ParseError::EmptyLine)
+            } else {
+                let tokens: Vec<&str> = line.split_whitespace().take(4).collect();
+                <[&str; 4]>::try_from(tokens.as_slice()).map_err(|_| ParseError::TooShort {
+                    found: tokens.len(),
+                    needed: 4,
+                })
+            };
+            assert_eq!(got, want, "{line:?}");
+        }
     }
 
     #[test]
@@ -649,6 +794,18 @@ impl LineFormat for RedStormFormat {
             EventFormat.render_into(msg, interner, out)
         } else {
             SyslogFormat::with_severity().render_into(msg, interner, out)
+        }
+    }
+
+    fn parse_header(
+        &self,
+        line: &str,
+        ctx: &mut ParseContext,
+    ) -> Result<(Timestamp, NodeId), ParseError> {
+        if line.starts_with("EV ") {
+            EventFormat.parse_header(line, ctx)
+        } else {
+            SyslogFormat::with_severity().parse_header(line, ctx)
         }
     }
 

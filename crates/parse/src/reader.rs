@@ -2,7 +2,7 @@
 
 use crate::error::ParseError;
 use crate::format::{LineFormat, ParseContext};
-use sclog_types::{Message, SystemId};
+use sclog_types::{Message, NodeId, SystemId, Timestamp};
 
 /// Counters describing how a log parsed.
 ///
@@ -32,12 +32,15 @@ impl ParseStats {
         self.bad_timestamp + self.too_short
     }
 
-    fn record_error(&mut self, err: &ParseError) {
-        match err {
-            ParseError::EmptyLine => self.empty += 1,
-            ParseError::BadTimestamp { .. } => self.bad_timestamp += 1,
-            ParseError::TooShort { .. } => self.too_short += 1,
+    /// Counts one line's outcome, passing an accepted line's value on.
+    fn record<T>(&mut self, outcome: Result<T, ParseError>) -> Option<T> {
+        match &outcome {
+            Ok(_) => self.parsed += 1,
+            Err(ParseError::EmptyLine) => self.empty += 1,
+            Err(ParseError::BadTimestamp { .. }) => self.bad_timestamp += 1,
+            Err(ParseError::TooShort { .. }) => self.too_short += 1,
         }
+        outcome.ok()
     }
 }
 
@@ -104,17 +107,23 @@ impl LogReader {
     /// Returns the index of the stored message, or `None` if the line
     /// was rejected (the rejection is counted in [`Self::stats`]).
     pub fn push_line(&mut self, line: &str) -> Option<usize> {
-        match self.format.parse(line, self.system, &mut self.ctx) {
-            Ok(msg) => {
-                self.messages.push(msg);
-                self.stats.parsed += 1;
-                Some(self.messages.len() - 1)
-            }
-            Err(err) => {
-                self.stats.record_error(&err);
-                None
-            }
-        }
+        let msg = self.format.parse(line, self.system, &mut self.ctx);
+        let msg = self.stats.record(msg)?;
+        self.messages.push(msg);
+        Some(self.messages.len() - 1)
+    }
+
+    /// Parses only one line's header ([`LineFormat::parse_header`]):
+    /// the same acceptance, [`ParseStats`] accounting, year recovery
+    /// and interning as [`Self::push_line`], but nothing is stored and
+    /// nothing is allocated for an accepted line. The streaming ingest
+    /// path calls this: it tags the raw line and needs only the
+    /// line's `(time, source)`.
+    ///
+    /// Returns `None` if the line was rejected.
+    pub fn push_header(&mut self, line: &str) -> Option<(Timestamp, NodeId)> {
+        let header = self.format.parse_header(line, &mut self.ctx);
+        self.stats.record(header)
     }
 
     /// Parses every line from an iterator.
@@ -156,13 +165,6 @@ impl LogReader {
     /// The messages parsed so far.
     pub fn messages(&self) -> &[Message] {
         &self.messages
-    }
-
-    /// Takes the messages parsed since the last take, leaving the
-    /// context and statistics intact — the streaming pipeline drains
-    /// per chunk so the reader never holds the whole log.
-    pub fn take_messages(&mut self) -> Vec<Message> {
-        std::mem::take(&mut self.messages)
     }
 
     /// Parse statistics so far.
@@ -295,15 +297,27 @@ mod tests {
     }
 
     #[test]
-    fn take_messages_drains_but_keeps_context() {
-        let mut r = LogReader::for_system(SystemId::Liberty);
-        r.push_line("Dec 12 00:00:01 ln1 kernel: a");
-        let first = r.take_messages();
-        assert_eq!(first.len(), 1);
-        assert!(r.messages().is_empty());
-        r.push_line("Dec 12 00:00:02 ln1 kernel: b");
-        assert_eq!(r.messages().len(), 1);
-        assert_eq!(r.stats().parsed, 2, "stats survive the take");
-        assert_eq!(r.context().interner.len(), 1, "interner survives the take");
+    fn push_header_counts_like_push_line_and_stores_nothing() {
+        let lines = [
+            "Dec 12 00:00:01 ln1 kernel: a",
+            "",
+            "Dec 12",
+            "Foo 12 00:00:01 ln1 kernel: b",
+            "Jan  2 00:00:02 ln2 kernel: c",
+        ];
+        let mut full = LogReader::for_system(SystemId::Liberty);
+        let mut header = LogReader::for_system(SystemId::Liberty);
+        for line in lines {
+            let msg = full.push_line(line).map(|i| {
+                let m = &full.messages()[i];
+                (m.time, m.source)
+            });
+            assert_eq!(header.push_header(line), msg, "{line:?}");
+        }
+        assert!(header.messages().is_empty());
+        assert_eq!(header.stats(), full.stats());
+        assert_eq!(header.context().year(), 2005, "rollover seen by both");
+        assert_eq!(header.context().year(), full.context().year());
+        assert_eq!(header.context().interner.len(), 2);
     }
 }

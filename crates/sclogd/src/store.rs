@@ -23,7 +23,6 @@
 //! increasing `version` lets the aggregation cache detect staleness
 //! without holding any lock across the recompute.
 
-use std::collections::HashSet;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -239,12 +238,12 @@ impl AlertStore {
     }
 
     /// Admits one ingest run. See [`AlertStore::ingest_with`]; this
-    /// wrapper records no obs and treats I/O failure as fatal.
+    /// wrapper records no obs and treats any error as fatal.
     ///
     /// # Panics
     ///
-    /// Panics on an I/O failure persisting the run, or if a run's
-    /// category re-registers under a different alert type.
+    /// Panics if the run is refused or persisting it fails, or if a
+    /// run's category re-registers under a different alert type.
     pub fn ingest(
         &self,
         system: SystemId,
@@ -259,7 +258,7 @@ impl AlertStore {
             severities,
             &Recorder::disabled().thread("ingest"),
         )
-        .expect("store: ingest I/O failure");
+        .expect("store: ingest failed");
     }
 
     /// Admits one ingest run, durably.
@@ -272,9 +271,19 @@ impl AlertStore {
     /// advisory metadata, not part of the alert identity. WAL and
     /// seal work is credited to the store's metrics through `rec`.
     ///
+    /// The run's alerts are labelled outside the lock. `result.tagged`
+    /// and `result.filtered` are both in message order, the survivors
+    /// a subsequence of the tagged alerts, so one merge walk over the
+    /// two marks every survivor. Under the write lock, each distinct
+    /// run category and host is then translated into the catalog once,
+    /// through tables indexed by the run's own ids.
+    ///
     /// # Errors
     ///
-    /// Any I/O failure appending to the store or persisting stats.
+    /// [`io::ErrorKind::InvalidInput`], with nothing admitted, if the
+    /// tagged alerts are not in strictly increasing message order or a
+    /// survivor is not one of them in that order. Otherwise any I/O
+    /// failure appending to the store or persisting stats.
     ///
     /// # Panics
     ///
@@ -289,28 +298,54 @@ impl AlertStore {
         severities: &[Severity],
         rec: &ThreadRecorder,
     ) -> io::Result<()> {
-        let survivors: HashSet<usize> = result.filtered.iter().map(|a| a.message_index).collect();
-        let mut inner = write_lock(&self.inner);
-        let inner = &mut *inner;
+        let refuse = |what: &str, index: usize| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("store: {what} at message {index}"),
+            )
+        };
+        let mut survivors = result.filtered.iter().map(|a| a.message_index).peekable();
+        let mut last = None;
+        // Rows carry the run's own host and category ids until the
+        // translation below.
         let mut batch = Vec::with_capacity(result.tagged.alerts.len());
         for alert in &result.tagged.alerts {
-            let def = registry.def(alert.category);
-            let category = inner
-                .segs
-                .register_category(&def.name, def.system, def.alert_type);
-            let host = inner.segs.intern_host(result.sources.name(alert.source));
+            let index = alert.message_index;
+            if last >= Some(index) {
+                return Err(refuse("tagged alert out of message order", index));
+            }
+            last = Some(index);
+            if let Some(&survivor) = survivors.peek().filter(|&&s| s < index) {
+                return Err(refuse("survivor not among the tagged alerts", survivor));
+            }
             batch.push(StoredAlert {
                 time: alert.time,
-                host,
-                category,
-                severity: severities
-                    .get(alert.message_index)
-                    .copied()
-                    .unwrap_or(Severity::None),
-                message_index: alert.message_index,
-                filtered: survivors.contains(&alert.message_index),
+                host: alert.source,
+                category: alert.category,
+                severity: severities.get(index).copied().unwrap_or(Severity::None),
+                message_index: index,
+                filtered: survivors.next_if_eq(&index).is_some(),
                 seq: 0, // assigned by the store on append
             });
+        }
+        if let Some(survivor) = survivors.next() {
+            return Err(refuse("survivor not among the tagged alerts", survivor));
+        }
+        let mut categories = vec![None; registry.len()];
+        let mut hosts = vec![None; result.sources.len()];
+
+        let mut inner = write_lock(&self.inner);
+        let inner = &mut *inner;
+        for row in &mut batch {
+            let (run_category, run_host) = (row.category, row.host);
+            row.category = *categories[run_category.index()].get_or_insert_with(|| {
+                let def = registry.def(run_category);
+                inner
+                    .segs
+                    .register_category(&def.name, def.system, def.alert_type)
+            });
+            row.host = *hosts[run_host.index()]
+                .get_or_insert_with(|| inner.segs.intern_host(result.sources.name(run_host)));
         }
         let metrics = inner.metrics;
         inner.segs.append(&batch, rec, &metrics)?;
@@ -561,6 +596,71 @@ Mar  7 09:00:00 dn228 pbs_mom: task_check, cannot tm_reply to 12 task 1\n";
         drop(inner);
         drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn survivor_counts_match_the_runs_across_systems() {
+        let store = AlertStore::new();
+        let filter = SpatioTemporalFilter::paper();
+        let mut want = Vec::new();
+        for system in sclog_types::ALL_SYSTEMS {
+            let log = sclog_simgen::generate(system, sclog_simgen::Scale::new(0.0005, 0.0001), 5);
+            let mut registry = CategoryRegistry::new();
+            let rules = RuleSet::builtin(system, &mut registry);
+            let result = ingest_batch(system, &log.render(), &rules, &filter, 1);
+            assert!(
+                !result.filtered.is_empty(),
+                "{system:?} fixture has survivors"
+            );
+            store.ingest(system, &result, &registry, &[]);
+            want.push((system, result.tagged.len(), result.filtered.len()));
+        }
+        let inner = store.read();
+        let alerts = scan_all(&inner);
+        for (system, tagged, filtered) in want {
+            let mine = alerts.iter().filter(|a| inner.system_of(a) == system);
+            let (n, kept) = mine.fold((0, 0), |(n, k), a| (n + 1, k + usize::from(a.filtered)));
+            assert_eq!((n, kept), (tagged, filtered), "{system:?}");
+        }
+    }
+
+    #[test]
+    fn misordered_or_unmatched_survivors_are_refused() {
+        // The fixture tags messages 0, 1, 2; 0 and 2 survive.
+        let refused = |damage: fn(&mut IngestResult)| {
+            let (mut result, registry) = liberty_run();
+            let indexes = |alerts: &[sclog_types::Alert]| -> Vec<usize> {
+                alerts.iter().map(|a| a.message_index).collect()
+            };
+            assert_eq!(indexes(&result.tagged.alerts), [0, 1, 2]);
+            assert_eq!(indexes(&result.filtered), [0, 2]);
+            damage(&mut result);
+            let store = AlertStore::new();
+            let err = store
+                .ingest_with(SystemId::Liberty, &result, &registry, &[], &test_rec())
+                .expect_err("a run that would be mislabelled must be refused");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+            let inner = store.read();
+            assert_eq!((inner.version, inner.alert_count()), (0, 0));
+            assert!(inner.hosts().is_empty() && inner.categories().is_empty());
+        };
+        // Survivors out of message order.
+        refused(|r| r.filtered.swap(0, 1));
+        // A survivor listed twice.
+        refused(|r| r.filtered.insert(0, r.filtered[0]));
+        // A survivor that was never tagged: between tagged alerts...
+        refused(|r| {
+            let untagged = r.tagged.alerts.remove(1);
+            r.filtered.insert(1, untagged);
+        });
+        // ...and after the last one.
+        refused(|r| {
+            let mut late = r.filtered[1];
+            late.message_index = 1_000;
+            r.filtered.push(late);
+        });
+        // Tagged alerts out of message order.
+        refused(|r| r.tagged.alerts.reverse());
     }
 
     #[test]

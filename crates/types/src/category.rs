@@ -8,7 +8,6 @@
 
 use crate::alert::AlertType;
 use crate::system::SystemId;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Compact identifier for an alert category within a [`CategoryRegistry`].
@@ -50,6 +49,11 @@ pub struct CategoryDef {
 
 /// Registry of alert categories across all systems.
 ///
+/// Lookups scan the definitions: there are at most a few dozen (77 in
+/// the paper), callers resolve each category once rather than once per
+/// alert, and a scan probes by `(system, &str)` without building an
+/// owned key.
+///
 /// # Examples
 ///
 /// ```
@@ -64,7 +68,6 @@ pub struct CategoryDef {
 #[derive(Debug, Clone, Default)]
 pub struct CategoryRegistry {
     defs: Vec<CategoryDef>,
-    index: HashMap<(SystemId, String), CategoryId>,
 }
 
 impl CategoryRegistry {
@@ -82,7 +85,7 @@ impl CategoryRegistry {
     /// different [`AlertType`] — a category's type is part of the expert
     /// rule and must be consistent.
     pub fn register(&mut self, name: &str, system: SystemId, alert_type: AlertType) -> CategoryId {
-        if let Some(&id) = self.index.get(&(system, name.to_owned())) {
+        if let Some(id) = self.lookup(system, name) {
             assert_eq!(
                 self.defs[id.index()].alert_type,
                 alert_type,
@@ -96,7 +99,6 @@ impl CategoryRegistry {
             system,
             alert_type,
         });
-        self.index.insert((system, name.to_owned()), id);
         id
     }
 
@@ -116,7 +118,9 @@ impl CategoryRegistry {
 
     /// Finds the id for a `(system, name)` pair.
     pub fn lookup(&self, system: SystemId, name: &str) -> Option<CategoryId> {
-        self.index.get(&(system, name.to_owned())).copied()
+        self.iter()
+            .find(|(_, d)| d.system == system && d.name == name)
+            .map(|(id, _)| id)
     }
 
     /// Number of registered categories.
