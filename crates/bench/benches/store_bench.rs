@@ -4,10 +4,12 @@
 //! consumers versus the materialise-and-sort `scan` they replaced on
 //! sclogd's read path, the column-at-a-time kernel versus a
 //! row-at-a-time `ScanFilter::matches` loop over the same cached
-//! segments, and a cold boot from sealed segments versus re-running
-//! simulation and ingest (the boot path `--data` replaces).
+//! segments, the same kernel versus row loops over bursty segments
+//! (hosts and categories in runs, as alert floods come), and a cold
+//! boot from sealed segments versus re-running simulation and ingest
+//! (the boot path `--data` replaces).
 //!
-//! Emits one JSON record per benchmark on stdout plus five derived
+//! Emits one JSON record per benchmark on stdout plus six derived
 //! records:
 //!   {"record":"prune_speedup"}  full-scan / pruned-scan median ratio
 //!                               on a one-day, one-system filter over
@@ -25,6 +27,11 @@
 //!                               filter and on a one-category filter,
 //!                               with the block cache warm (a serving
 //!                               daemon's regime)
+//!   {"record":"scan_burst"}     row loops / column kernel median ratio
+//!                               for a host-set count + top-100 and the
+//!                               per-category count fold over segments
+//!                               whose hosts and categories come in
+//!                               runs — the word summaries' payoff
 //!   {"record":"cold_boot"}      resimulate / cold-boot median ratio —
 //!                               how much faster a daemon boots from
 //!                               disk than from scratch
@@ -107,6 +114,54 @@ fn synthetic_records(store: &mut SegmentStore, rng: &mut Rng) -> Vec<StoredAlert
                     seq: 0,
                 });
             }
+        }
+    }
+    records
+}
+
+/// Bursty synthetic records per Spirit day partition.
+const BURST_PER_DAY: usize = 8192;
+
+/// One system's `DAYS` days of alerts whose hosts and categories each
+/// come in runs of 1–2000 rows, the way one node floods one message;
+/// times ascend within each day.
+fn bursty_records(store: &mut SegmentStore, rng: &mut Rng) -> Vec<StoredAlert> {
+    let hosts: Vec<NodeId> = (0..64)
+        .map(|i| store.intern_host(&format!("node-{i:03}")))
+        .collect();
+    let categories: Vec<CategoryId> = (0..4)
+        .map(|i| {
+            store.register_category(
+                &format!("BURST_CAT_{i}"),
+                SystemId::Spirit,
+                AlertType::Hardware,
+            )
+        })
+        .collect();
+    let mut in_runs = |pool_len: usize, n: usize| {
+        let mut out = Vec::with_capacity(n);
+        while out.len() < n {
+            let value = rng.next(pool_len as u64) as usize;
+            let len = (1 + rng.next(2000) as usize).min(n - out.len());
+            out.extend(std::iter::repeat_n(value, len));
+        }
+        out
+    };
+    let mut records = Vec::with_capacity(DAYS as usize * BURST_PER_DAY);
+    for day in 0..DAYS {
+        let host_runs = in_runs(hosts.len(), BURST_PER_DAY);
+        let category_runs = in_runs(categories.len(), BURST_PER_DAY);
+        for (i, (h, c)) in host_runs.into_iter().zip(category_runs).enumerate() {
+            let step = DAY_MICROS / BURST_PER_DAY as i64;
+            records.push(StoredAlert {
+                time: Timestamp::from_micros(day * DAY_MICROS + i as i64 * step),
+                host: hosts[h],
+                category: categories[c],
+                severity: Severity::None,
+                message_index: i,
+                filtered: i % 7 == 0,
+                seq: 0,
+            });
         }
     }
     records
@@ -351,6 +406,85 @@ fn main() {
 
     drop(served);
     let _ = std::fs::remove_dir_all(&seed_root);
+
+    // ------------------------- bursty blocks: kernel vs row loops
+    // Segments whose hosts and categories come in runs, so most 64-row
+    // words hold one host and one category: the kernel answers those
+    // words from the block's word summaries. A host-set drill-down
+    // (count + top-100; the row loop tests every row with
+    // `ScanFilter::matches`) and the per-category count fold (the row
+    // loop adds one per selected row), over warm blocks. The
+    // random-host `scan_count` and `scan_agg` arms above have almost no
+    // one-host words: they are the control without this property.
+    let burst_root = bench_dir("burst");
+    let mut burst_store = fresh(&burst_root);
+    let bursty = bursty_records(&mut burst_store, &mut Rng(11));
+    burst_store.append(&bursty, &rec, &metrics).expect("append");
+    burst_store.seal_all(&rec, &metrics).expect("seal");
+    drop(burst_store);
+    let burst_store = SegmentStore::open(&burst_root, StoreConfig::default()).expect("reopen");
+    let registry = burst_store.catalog().categories.clone();
+    let categories = registry.len();
+    let host_set = ScanFilter {
+        hosts: Some((0..8).collect()),
+        ..ScanFilter::all()
+    };
+    let burst_kernel = || {
+        let mut top = TopK::new(LIMIT);
+        let stats = burst_store
+            .scan_runs(&host_set, true, &rec, &metrics, |run| top.offer_run(run))
+            .expect("scan");
+        let mut counts = vec![0u64; categories];
+        burst_store
+            .scan_runs(&all, true, &rec, &metrics, |run| {
+                run.count_categories(|cat, n| counts[cat as usize] += n);
+            })
+            .expect("scan");
+        (top.total(), top.into_sorted(), counts, stats)
+    };
+    let burst_rows = || {
+        let mut top = TopK::new(LIMIT);
+        let mut counts = vec![0u64; categories];
+        burst_store
+            .scan_runs(&all, true, &rec, &metrics, |run| {
+                for r in run.alerts() {
+                    if host_set.matches(&r, &registry) {
+                        top.offer(&r);
+                    }
+                }
+            })
+            .expect("scan");
+        burst_store
+            .scan_runs(&all, true, &rec, &metrics, |run| {
+                let column = run.block().categories();
+                run.rows().for_each(|i| counts[column[i] as usize] += 1);
+            })
+            .expect("scan");
+        (top.total(), top.into_sorted(), counts)
+    };
+    let (hits, top, counts, stats) = burst_kernel(); // also warms the block cache
+    assert_eq!((hits, top, counts), burst_rows(), "kernel ≡ row loops");
+    group.throughput_elements(bursty.len() as u64);
+    let (kernel_ns, rows_ns) =
+        group.bench_pair("scan_burst", burst_kernel, "scan_burst_rows", burst_rows);
+    let speedup = rows_ns as f64 / kernel_ns.max(1) as f64;
+    let mut obj = JsonObject::new();
+    obj.str("record", "scan_burst")
+        .uint("hits", hits)
+        .uint("drill_down_rows_decoded", stats.rows_decoded)
+        .uint("drill_down_words_summarised", stats.words_summarised)
+        .uint("kernel_median_ns", kernel_ns as u64)
+        .uint("rows_median_ns", rows_ns as u64)
+        .num("speedup", speedup);
+    println!("{}", obj.finish());
+    eprintln!(
+        "store/scan_burst: column kernel {speedup:.1}x the row loops ({hits} hits; \
+         {} of the drill-down's {} words answered from summaries)",
+        stats.words_summarised,
+        stats.rows_decoded / 64,
+    );
+    drop(burst_store);
+    let _ = std::fs::remove_dir_all(&burst_root);
 
     // ------------------------------------- cold boot vs re-simulation
     // The store is loaded from a real ingest run (simulate, render,

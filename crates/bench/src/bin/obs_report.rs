@@ -247,6 +247,7 @@ fn check_trace() -> Result<(), String> {
         "\"micros\"",
         "\"status\"",
         "\"scan\"",
+        "\"words_summarised\"",
         "\"rows_decoded\":5",
     ] {
         if !qlog.contains(key) {

@@ -8,6 +8,10 @@
 //! string clone; the first request after an ingest (or the first ever
 //! against a store booted from disk) recomputes with one streaming
 //! fold over the segment store's columns into dense per-id counters.
+//! The `tagged` histogram is added a 64-row word at a time wherever a
+//! word's rows share one category — the common case, since alerts
+//! arrive in floods from one node and one category — and row by row
+//! only in mixed words (see [`sclog_store::Run::count_categories`]).
 //!
 //! Hotspot top-`k` is applied at serve time from the cached full
 //! ranking, so `k=5` and `k=50` share one computation.
@@ -128,8 +132,9 @@ impl AggregateCache {
 
 fn compute(inner: &StoreInner, rec: &ThreadRecorder) -> io::Result<(Cached, ScanStats)> {
     // One fold over every segment's columns into dense counters
-    // indexed by category and host id: the category column feeds the
-    // tagged histogram, and only the rows the survivor bitmap selects
+    // indexed by category and host id: the category column's word
+    // summaries feed the tagged histogram, and only the rows the
+    // survivor bitmap selects
     // are read for survivor counts, host counts and times. Survivor
     // times come sorted within each run but not across runs, so each
     // category's list is sorted afterwards: the same sorted multiset a
@@ -143,9 +148,7 @@ fn compute(inner: &StoreInner, rec: &ThreadRecorder) -> io::Result<(Cached, Scan
     let scan_stats = inner.scan_runs(&ScanFilter::all(), rec, |run| {
         let block = run.block();
         let (cats, hosts, ts) = (block.categories(), block.hosts(), block.times());
-        for i in run.rows() {
-            tagged[cats[i] as usize] += 1;
-        }
+        run.count_categories(|cat, n| tagged[cat as usize] += n);
         for i in run.survivor_rows() {
             let cat = cats[i] as usize;
             filtered[cat] += 1;

@@ -8,6 +8,8 @@
 //! alternatives, so `sn*,dn22[0-9]` matches both families in one
 //! parameter.
 
+use std::str::Chars;
+
 /// One token of a compiled glob alternative.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Tok {
@@ -66,8 +68,7 @@ impl HostPattern {
 
     /// Whether any alternative matches the whole of `name`.
     pub fn matches(&self, name: &str) -> bool {
-        let chars: Vec<char> = name.chars().collect();
-        self.alternatives.iter().any(|alt| glob_match(alt, &chars))
+        self.alternatives.iter().any(|alt| glob_match(alt, name))
     }
 
     /// True when the pattern is a single `*` — the match-everything
@@ -135,36 +136,42 @@ fn compile_glob(glob: &str) -> Result<Vec<Tok>, String> {
 
 /// Classic iterative glob match with single-star backtracking: on a
 /// mismatch past a `*`, retry from the star with one more character
-/// consumed. Collapsed stars keep this O(pattern × name).
-fn glob_match(toks: &[Tok], name: &[char]) -> bool {
-    let (mut t, mut n) = (0usize, 0usize);
-    let mut star: Option<(usize, usize)> = None;
+/// consumed. Collapsed stars keep this O(pattern × name). Walks `name`
+/// by `char` without copying it; the backtrack point is a saved
+/// iterator over the name's rest.
+fn glob_match(toks: &[Tok], name: &str) -> bool {
+    let mut t = 0usize;
+    let mut rest = name.chars();
+    let mut star: Option<(usize, Chars<'_>)> = None;
     loop {
-        if n == name.len() {
+        let mut after = rest.clone();
+        let Some(c) = after.next() else {
             // Only trailing stars may remain.
             return toks[t..].iter().all(|tok| *tok == Tok::Any);
-        }
+        };
         let matched = match toks.get(t) {
             Some(Tok::Any) => {
-                star = Some((t, n));
+                star = Some((t, rest.clone()));
                 t += 1;
                 continue;
             }
-            Some(Tok::Literal(c)) => *c == name[n],
+            Some(Tok::Literal(l)) => *l == c,
             Some(Tok::One) => true,
             Some(Tok::Class { negated, ranges }) => {
-                let inside = ranges.iter().any(|&(lo, hi)| (lo..=hi).contains(&name[n]));
+                let inside = ranges.iter().any(|&(lo, hi)| (lo..=hi).contains(&c));
                 inside != *negated
             }
             None => false,
         };
         if matched {
             t += 1;
-            n += 1;
-        } else if let Some((st, sn)) = star {
-            t = st + 1;
-            n = sn + 1;
-            star = Some((st, sn + 1));
+            rest = after;
+        } else if let Some((st, from)) = &mut star {
+            // The star's rest is never shorter than `rest`, which is
+            // not empty, so this consumes a character.
+            from.next();
+            t = *st + 1;
+            rest = from.clone();
         } else {
             return false;
         }
@@ -237,5 +244,80 @@ mod tests {
     fn unicode_names_do_not_panic() {
         assert!(m("naïve*", "naïve-node"));
         assert!(m("?", "é"));
+    }
+
+    /// The matcher over a collected `&[char]` name, as it stood before
+    /// matching moved onto `&str`: the oracle for the test below.
+    fn char_slice_match(toks: &[Tok], name: &[char]) -> bool {
+        let (mut t, mut n) = (0usize, 0usize);
+        let mut star: Option<(usize, usize)> = None;
+        loop {
+            if n == name.len() {
+                return toks[t..].iter().all(|tok| *tok == Tok::Any);
+            }
+            let matched = match toks.get(t) {
+                Some(Tok::Any) => {
+                    star = Some((t, n));
+                    t += 1;
+                    continue;
+                }
+                Some(Tok::Literal(c)) => *c == name[n],
+                Some(Tok::One) => true,
+                Some(Tok::Class { negated, ranges }) => {
+                    let inside = ranges.iter().any(|&(lo, hi)| (lo..=hi).contains(&name[n]));
+                    inside != *negated
+                }
+                None => false,
+            };
+            if matched {
+                t += 1;
+                n += 1;
+            } else if let Some((st, sn)) = star {
+                t = st + 1;
+                n = sn + 1;
+                star = Some((st, sn + 1));
+            } else {
+                return false;
+            }
+        }
+    }
+
+    #[test]
+    fn str_matcher_equals_the_char_slice_matcher() {
+        // A small alphabet (multi-byte characters included) makes
+        // matches, near misses and star backtracking all common.
+        const ALPHABET: [char; 6] = ['s', 'n', '3', '-', 'é', '語'];
+        sclog_testkit::check("host_glob_str_matcher", |g| {
+            let mut pattern = String::new();
+            for _ in 0..g.usize_in(1..=8) {
+                match g.below(6) {
+                    0 => pattern.push('*'),
+                    1 => pattern.push('?'),
+                    2 => {
+                        let (a, b) = (*g.pick(&ALPHABET), *g.pick(&ALPHABET));
+                        let (lo, hi) = (a.min(b), a.max(b));
+                        let negate = if g.chance(0.3) { "!" } else { "" };
+                        pattern.push_str(&format!("[{negate}{lo}-{hi}]"));
+                    }
+                    _ => pattern.push(*g.pick(&ALPHABET)),
+                }
+            }
+            let compiled = HostPattern::parse(&pattern).unwrap();
+            for _ in 0..16 {
+                let name: String = (0..g.usize_in(0..=10))
+                    .map(|_| *g.pick(&ALPHABET))
+                    .collect();
+                let chars: Vec<char> = name.chars().collect();
+                let want = compiled
+                    .alternatives
+                    .iter()
+                    .any(|alt| char_slice_match(alt, &chars));
+                assert_eq!(
+                    compiled.matches(&name),
+                    want,
+                    "pattern {pattern:?} name {name:?}"
+                );
+            }
+        });
     }
 }

@@ -6,8 +6,10 @@
 //! `/interarrival` and `/hotspots?k=<all>` bodies must be
 //! byte-identical to what it renders, on a multi-system simgen store
 //! that holds hosts tied on survivor count (ties order by name),
-//! tagged categories with zero survivors, and survivor times that
-//! reach the fold out of time order.
+//! tagged categories with zero survivors, survivor times that reach
+//! the fold out of time order, and both 64-row words whose rows share
+//! one category (counted from the block's word summary) and mixed
+//! words (counted row by row).
 
 use std::collections::HashMap;
 
@@ -171,6 +173,23 @@ fn dense_fold_matches_hashmap_reference() {
             }
         })
         .unwrap();
+    // The words the fold meets, by whether their rows share a category.
+    let (mut uniform_words, mut mixed_words) = (0, 0);
+    inner
+        .scan_runs(&ScanFilter::all(), &rec(), |run| {
+            let cats = run.block().categories();
+            let mut words: Vec<usize> = run.rows().map(|i| i / 64).collect();
+            words.dedup();
+            for w in words {
+                let word = &cats[w * 64..(w * 64 + 64).min(cats.len())];
+                if word.iter().all(|&c| c == word[0]) {
+                    uniform_words += 1;
+                } else {
+                    mixed_words += 1;
+                }
+            }
+        })
+        .unwrap();
     let nodes = inner.hosts().len();
     drop(inner);
 
@@ -194,4 +213,6 @@ fn dense_fold_matches_hashmap_reference() {
         want.categories.contains("\"filtered\":0}"),
         "no zero-survivor category"
     );
+    assert!(uniform_words > 0, "no one-category word");
+    assert!(mixed_words > 0, "no mixed-category word");
 }

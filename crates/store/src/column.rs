@@ -15,6 +15,16 @@
 //! [`Run`]: a block plus its selection, a sorted run whose match count
 //! is a popcount and whose first `limit` matches are the only ones a
 //! top-`limit` reader can use.
+//!
+//! Alerts come in floods — one node repeating one message — so most
+//! 64-row words of a sorted block hold a single host and a single
+//! category. Each block keeps, per word, the host and the category all
+//! of its rows share (or a private "mixed" mark), built once after the
+//! sort. The host and category predicates answer such a word with one
+//! lookup spread over all 64 bits, and [`Run::count_categories`]
+//! credits its popcount to one category; only mixed words are read row
+//! by row. The summaries are exact, so answers never depend on how
+//! bursty a block is — only the speed does.
 
 use std::io;
 use std::ops::Range;
@@ -25,6 +35,13 @@ use sclog_types::{CategoryId, CategoryRegistry, NodeId, Timestamp};
 use crate::record::{BatchDecoder, RawRecord, StoredAlert};
 use crate::varint::corrupt;
 use crate::zonemap::{ScanFilter, ZoneMap};
+
+/// Word-summary mark for a word whose rows hold more than one host. A
+/// word whose rows all hold this id is marked mixed too, so no answer
+/// depends on the mark.
+const MIXED_HOST: u32 = u32::MAX;
+/// [`MIXED_HOST`] for the category column.
+const MIXED_CATEGORY: u16 = u16::MAX;
 
 /// A segment payload decoded into columns, rows in `(time, seq)`
 /// order. About 31 bytes per row; no row structs are kept.
@@ -39,6 +56,12 @@ pub struct Block {
     message_index: Vec<u64>,
     /// Survivor bits: bit `i % 64` of word `i / 64` is row `i`'s.
     survivors: Vec<u64>,
+    /// Per 64-row word: the host every row of the word holds, or
+    /// [`MIXED_HOST`]. Built after the sort, like the next one.
+    host_words: Vec<u32>,
+    /// Per 64-row word: the category every row of the word holds, or
+    /// [`MIXED_CATEGORY`].
+    category_words: Vec<u16>,
 }
 
 impl Block {
@@ -60,6 +83,7 @@ impl Block {
         records.finish()?;
         drop(payload);
         block.sort()?;
+        block.summarise();
         Ok(block)
     }
 
@@ -71,6 +95,7 @@ impl Block {
     pub(crate) fn from_rows(rows: &[StoredAlert]) -> io::Result<Block> {
         let mut block = Block::fill(rows.len(), rows.iter().map(|r| Ok(RawRecord::of(r))))?;
         block.sort()?;
+        block.summarise();
         Ok(block)
     }
 
@@ -99,6 +124,7 @@ impl Block {
             severity,
             message_index,
             survivors,
+            ..Block::default()
         })
     }
 
@@ -154,6 +180,36 @@ impl Block {
         }
         self.survivors = survivors;
         Ok(())
+    }
+
+    /// Builds the per-word host and category summaries of the sorted
+    /// columns.
+    fn summarise(&mut self) {
+        fn shared<T: Copy + PartialEq>(column: &[T], mixed: T) -> Vec<T> {
+            column
+                .chunks(64)
+                .map(|rows| {
+                    let first = rows[0];
+                    if rows.iter().all(|&v| v == first) {
+                        first
+                    } else {
+                        mixed
+                    }
+                })
+                .collect()
+        }
+        self.host_words = shared(&self.host, MIXED_HOST);
+        self.category_words = shared(&self.category, MIXED_CATEGORY);
+    }
+
+    /// The host every row of word `w` holds, if they hold one.
+    fn word_host(&self, w: usize) -> Option<u32> {
+        Some(self.host_words[w]).filter(|&host| host != MIXED_HOST)
+    }
+
+    /// The category every row of word `w` holds, if they hold one.
+    fn word_category(&self, w: usize) -> Option<u16> {
+        Some(self.category_words[w]).filter(|&cat| cat != MIXED_CATEGORY)
     }
 
     /// Rows in the block.
@@ -254,6 +310,25 @@ impl<'a> Run<'a> {
     pub fn alerts(&self) -> impl Iterator<Item = StoredAlert> + 'a {
         let block = self.block;
         self.rows().map(move |i| block.row(i))
+    }
+
+    /// Counts the selected rows per category: `add(category, n)` adds
+    /// `n` rows of `category`. A word whose rows all hold one category
+    /// is added as its popcount in one call; the selected rows of any
+    /// other word are added one at a time.
+    pub fn count_categories(&self, mut add: impl FnMut(u16, u64)) {
+        for (k, &word) in self.words.iter().enumerate() {
+            if word == 0 {
+                continue;
+            }
+            let w = self.first_word + k;
+            match self.block.word_category(w) {
+                Some(cat) => add(cat, u64::from(word.count_ones())),
+                None => {
+                    set_bits(std::iter::once(word), w).for_each(|i| add(self.block.category[i], 1))
+                }
+            }
+        }
     }
 }
 
@@ -370,13 +445,14 @@ impl CompiledFilter {
     /// them in row order. The time window becomes a row range by
     /// binary search on the sorted `time` column; every other
     /// predicate is evaluated 64 rows at a time into a selection word,
-    /// reading only its own column.
+    /// reading only its own column or, for host and category, the
+    /// word's summary. Returns how many words a summary answered.
     pub(crate) fn scan_block(
         &self,
         block: &Block,
         covered: Covered,
         visit: &mut impl FnMut(&Run<'_>),
-    ) {
+    ) -> u64 {
         let (lo, hi) = if covered.time {
             (0, block.len())
         } else {
@@ -386,6 +462,7 @@ impl CompiledFilter {
             )
         };
         let mut words = [0u64; RUN_ROWS / 64];
+        let mut summarised = 0;
         let mut start = lo;
         while start < hi {
             let end = ((start / RUN_ROWS + 1) * RUN_ROWS).min(hi);
@@ -393,8 +470,10 @@ impl CompiledFilter {
             let span = first_word..end.div_ceil(64);
             let mut count = 0;
             for (slot, w) in words.iter_mut().zip(span.clone()) {
-                *slot = self.select_word(block, w, start..end, covered);
-                count += u64::from(slot.count_ones());
+                let (word, from_summary) = self.select_word(block, w, start..end, covered);
+                *slot = word;
+                count += u64::from(word.count_ones());
+                summarised += u64::from(from_summary);
             }
             if count > 0 {
                 visit(&Run {
@@ -406,12 +485,20 @@ impl CompiledFilter {
             }
             start = end;
         }
+        summarised
     }
 
     /// The selection word for rows `64 * w ..` of `block`: bit `j` set
     /// when row `64 * w + j` lies in `range` and passes every predicate
-    /// `covered` does not prove.
-    fn select_word(&self, block: &Block, w: usize, range: Range<usize>, covered: Covered) -> u64 {
+    /// `covered` does not prove. The flag says whether a word summary
+    /// answered the host or the category predicate.
+    fn select_word(
+        &self,
+        block: &Block,
+        w: usize,
+        range: Range<usize>,
+        covered: Covered,
+    ) -> (u64, bool) {
         let rows = w * 64..((w + 1) * 64).min(block.len());
         // In-range rows of this word (at least one: the caller's words
         // all overlap `range`).
@@ -432,19 +519,34 @@ impl CompiledFilter {
                 });
             }
         }
+        // A summary's pass bit (0 or 1) spreads over the word by
+        // negation: 1 becomes all ones.
+        let mut summarised = false;
         if let (Some(lut), false) = (&self.categories, covered.categories) {
             if word != 0 {
-                word &= column_bits(&block.category[rows.clone()], |cat| {
-                    Self::category_bit(lut, cat)
-                });
+                let pass = |cat| Self::category_bit(lut, cat);
+                word &= match block.word_category(w) {
+                    Some(cat) => {
+                        summarised = true;
+                        pass(cat).wrapping_neg()
+                    }
+                    None => column_bits(&block.category[rows.clone()], pass),
+                };
             }
         }
         if let (Some(bits), false) = (&self.hosts, covered.hosts) {
             if word != 0 {
-                word &= column_bits(&block.host[rows], |host| Self::host_bit(bits, host));
+                let pass = |host| Self::host_bit(bits, host);
+                word &= match block.word_host(w) {
+                    Some(host) => {
+                        summarised = true;
+                        pass(host).wrapping_neg()
+                    }
+                    None => column_bits(&block.host[rows], pass),
+                };
             }
         }
-        word
+        (word, summarised)
     }
 }
 
@@ -544,7 +646,9 @@ mod tests {
             + block.category.capacity() * 2
             + block.severity.capacity()
             + block.message_index.capacity() * 8
-            + block.survivors.capacity() * 8;
+            + block.survivors.capacity() * 8
+            + block.host_words.capacity() * 4
+            + block.category_words.capacity() * 2;
         assert!(bytes <= 32 * records.len(), "{bytes} bytes");
     }
 

@@ -385,11 +385,11 @@ impl SegmentStore {
                     Covered::default()
                 };
                 stats.zones_covered += u64::from(covered.all());
-                compiled.scan_block(&block, covered, &mut visit);
+                stats.words_summarised += compiled.scan_block(&block, covered, &mut visit);
             }
             stats.rows_decoded += partition.tail.len() as u64;
             let block = Block::from_rows(&partition.tail)?;
-            compiled.scan_block(&block, Covered::default(), &mut visit);
+            stats.words_summarised += compiled.scan_block(&block, Covered::default(), &mut visit);
         }
         rec.add(metrics.segments_pruned, stats.zones_pruned);
         rec.add(metrics.segments_scanned, stats.zones_scanned);

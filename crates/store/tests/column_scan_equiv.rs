@@ -15,6 +15,15 @@
 //! (category and host supersets, a window around everything), empty
 //! id sets, and every survivor mode; each store is scanned with the
 //! block cache on (cold and warm) and off.
+//!
+//! Half the stores are bursty, like real alert floods: hosts and
+//! categories come in runs of 1–300 rows, so blocks hold 64-row words
+//! whose rows all share a host or a category — answered from the
+//! block's word summaries — beside mixed words read row by row. The
+//! suite checks it met uniform words inside and outside each
+//! predicate, mixed words, and bursts across word and [`RUN_ROWS`]
+//! boundaries, and that [`Run::count_categories`] equals a per-row
+//! count of the selected rows.
 
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -22,7 +31,7 @@ use std::path::Path;
 
 use sclog_obs::{Recorder, ThreadRecorder};
 use sclog_store::{
-    ScanFilter, SegmentStore, StoreConfig, StoreMetrics, StoredAlert, TopK, RUN_ROWS,
+    Block, Run, ScanFilter, SegmentStore, StoreConfig, StoreMetrics, StoredAlert, TopK, RUN_ROWS,
 };
 use sclog_testkit::{check_n, Gen};
 use sclog_types::{
@@ -48,11 +57,23 @@ struct Fixture {
     hosts: usize,
 }
 
+/// `n` values drawn from `pool` in runs of 1–300 equal values.
+fn in_runs<T: Copy>(g: &mut Gen, pool: &[T], n: usize) -> Vec<T> {
+    let mut out = Vec::with_capacity(n);
+    while out.len() < n {
+        let value = *g.pick(pool);
+        let len = g.usize_in(1..=300).min(n - out.len());
+        out.extend(std::iter::repeat_n(value, len));
+    }
+    out
+}
+
 fn build_store(g: &mut Gen, root: &Path) -> Fixture {
     let (rec, metrics) = (rec(), StoreMetrics::disabled());
     // Either only the explicit seals below cut segments (two appends
     // per segment), or small auto-seals cut many more.
     let explicit_seals = g.chance(0.5);
+    let bursty = g.chance(0.5);
     let mut store = SegmentStore::open(
         root,
         StoreConfig {
@@ -126,6 +147,14 @@ fn build_store(g: &mut Gen, root: &Path) -> Fixture {
             })
             .collect();
         batch.sort_by_key(|r| r.time);
+        if bursty {
+            // Runs over time order, so they survive into the sorted
+            // blocks (split only where another batch's rows interleave).
+            let runs = in_runs(g, &hosts, n).into_iter().zip(in_runs(g, cats, n));
+            for (r, (host, category)) in batch.iter_mut().zip(runs) {
+                (r.host, r.category) = (host, category);
+            }
+        }
         batch
     };
     let mut append = |store: &mut SegmentStore, batch: Vec<StoredAlert>| {
@@ -135,10 +164,13 @@ fn build_store(g: &mut Gen, root: &Path) -> Fixture {
             records.push(r);
         }
     };
-    for _ in 0..g.usize_in(1..=3) {
-        // Now and then one segment longer than a run.
-        let (most, pool) = if g.chance(0.15) {
+    for round in 0..g.usize_in(1..=3) {
+        // Now and then one segment longer than a run; a bursty store
+        // always tries for one, so bursts meet run boundaries.
+        let (most, pool) = if g.chance(0.15) || (bursty && round == 0) {
             (RUN_ROWS, &one_partition)
+        } else if bursty {
+            (400, &everywhere)
         } else {
             (80, &everywhere)
         };
@@ -240,10 +272,122 @@ struct Seen {
     unsorted_payloads: Cell<u64>,
     multi_run_blocks: Cell<u64>,
     long_tails: Cell<u64>,
+    /// Words a host predicate met: uniform with a passing host,
+    /// uniform with a failing host, mixed.
+    host_words: Words,
+    /// The same for a category predicate.
+    category_words: Words,
+    /// A burst running from a mixed word into the next word.
+    word_straddles: Cell<u64>,
+    /// A burst running across a [`RUN_ROWS`] boundary.
+    run_straddles: Cell<u64>,
+}
+
+#[derive(Default)]
+struct Words {
+    inside: Cell<u64>,
+    outside: Cell<u64>,
+    mixed: Cell<u64>,
+}
+
+impl Words {
+    /// Tallies one word's values: uniform and passing (`pass` of its
+    /// first row), uniform and failing, or mixed.
+    fn tally<T: PartialEq>(&self, word: &[T], pass: bool) {
+        if !uniform(word) {
+            bump(&self.mixed);
+        } else if pass {
+            bump(&self.inside);
+        } else {
+            bump(&self.outside);
+        }
+    }
+}
+
+/// Whether every value of `word` is the same.
+fn uniform<T: PartialEq>(word: &[T]) -> bool {
+    word.iter().all(|v| *v == word[0])
 }
 
 fn bump(c: &Cell<u64>) {
     c.set(c.get() + 1);
+}
+
+/// Tallies the words `filter`'s host and category predicates meet in
+/// an unpruned scan — every word its time window reaches — and the
+/// bursts that straddle word and run boundaries in those blocks.
+fn tally_words(
+    store: &SegmentStore,
+    filter: &ScanFilter,
+    registry: &CategoryRegistry,
+    seen: &Seen,
+) {
+    let (rec, metrics) = (rec(), StoreMetrics::disabled());
+    let window = ScanFilter {
+        from: filter.from,
+        to: filter.to,
+        ..ScanFilter::all()
+    };
+    let host_only = ScanFilter {
+        hosts: filter.hosts.clone(),
+        ..ScanFilter::all()
+    };
+    let category_only = ScanFilter {
+        categories: filter.categories.clone(),
+        system: filter.system,
+        classes: filter.classes,
+        ..ScanFilter::all()
+    };
+    let constrains_categories =
+        filter.categories.is_some() || filter.system.is_some() || filter.classes.is_some();
+    store
+        .scan_runs(&window, false, &rec, &metrics, |run| {
+            let block = run.block();
+            let mut words: Vec<usize> = run.rows().map(|i| i / 64).collect();
+            words.dedup();
+            for w in words {
+                let rows = w * 64..(w * 64 + 64).min(block.len());
+                let first = block.row(rows.start);
+                let hosts = block.hosts();
+                if filter.hosts.is_some() {
+                    let pass = host_only.matches(&first, registry);
+                    seen.host_words.tally(&hosts[rows.clone()], pass);
+                }
+                if constrains_categories {
+                    let pass = category_only.matches(&first, registry);
+                    seen.category_words
+                        .tally(&block.categories()[rows.clone()], pass);
+                }
+                if rows.end < block.len() && straddles(block, rows.end) {
+                    let next = rows.end..(rows.end + 64).min(block.len());
+                    if !uniform(&hosts[rows.clone()]) || !uniform(&hosts[next]) {
+                        bump(&seen.word_straddles);
+                    }
+                    if rows.end % RUN_ROWS == 0 {
+                        bump(&seen.run_straddles);
+                    }
+                }
+            }
+        })
+        .unwrap();
+}
+
+/// Whether rows `at - 1` and `at` of `block` share host and category.
+fn straddles(block: &Block, at: usize) -> bool {
+    block.hosts()[at - 1] == block.hosts()[at]
+        && block.categories()[at - 1] == block.categories()[at]
+}
+
+/// [`Run::count_categories`] must equal a per-row count of the
+/// selected rows' categories.
+fn check_category_counts(run: &Run<'_>, rows: &[usize]) {
+    let mut got = HashMap::new();
+    run.count_categories(|category, n| *got.entry(category).or_insert(0) += n);
+    let mut want = HashMap::new();
+    for &i in rows {
+        *want.entry(run.block().categories()[i]).or_insert(0) += 1;
+    }
+    assert_eq!(got, want, "count_categories");
 }
 
 fn check_store(
@@ -256,6 +400,7 @@ fn check_store(
     let (rec, metrics) = (rec(), StoreMetrics::disabled());
     for _ in 0..12 {
         let filter = random_filter(g, fx);
+        tally_words(store, &filter, registry, seen);
         let mut want: Vec<StoredAlert> = fx
             .records
             .iter()
@@ -282,6 +427,7 @@ fn check_store(
                         if run.block().len() > RUN_ROWS {
                             bump(&seen.multi_run_blocks);
                         }
+                        check_category_counts(run, &rows);
                         top.offer_run(run);
                     })
                     .unwrap();
@@ -374,6 +520,26 @@ fn column_scan_matches_the_row_oracle() {
         ),
         ("a segment longer than one run", &seen.multi_run_blocks),
         ("a long unsealed tail", &seen.long_tails),
+        (
+            "a one-host word inside the host set",
+            &seen.host_words.inside,
+        ),
+        (
+            "a one-host word outside the host set",
+            &seen.host_words.outside,
+        ),
+        ("a mixed-host word", &seen.host_words.mixed),
+        (
+            "a one-category word the filter admits",
+            &seen.category_words.inside,
+        ),
+        (
+            "a one-category word the filter refuses",
+            &seen.category_words.outside,
+        ),
+        ("a mixed-category word", &seen.category_words.mixed),
+        ("a burst across a word boundary", &seen.word_straddles),
+        ("a burst across a run boundary", &seen.run_straddles),
     ] {
         assert!(count.get() > 0, "the fixture never produced {what}");
     }

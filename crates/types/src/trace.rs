@@ -21,8 +21,8 @@ use crate::obs::ObsReport;
 ///
 /// Single definition site, enforced by `scripts/tidy.sh` check 9.
 /// Version policy: adding a key to an object is compatible — readers
-/// ignore keys they do not know, so `zones_covered` joined the scan
-/// stats within v1 — while removing, renaming or re-typing a key, or
+/// ignore keys they do not know, so `zones_covered` and
+/// `words_summarised` joined the scan stats within v1 — while removing, renaming or re-typing a key, or
 /// changing what one means, takes a new version.
 pub const TRACE_FORMAT_VERSION: u16 = 1;
 
@@ -51,6 +51,12 @@ pub struct ScanStats {
     /// unconstrained filter covers every segment). Always
     /// `≤ zones_scanned`.
     pub zones_covered: u64,
+    /// 64-row selection words whose host or category test was answered
+    /// once for the whole word from the block's word summary (every
+    /// row of the word holds one host, or one category). Low against
+    /// `rows_decoded / 64` on a host- or category-filtered scan means
+    /// the scanned rows are not bursty and were tested row by row.
+    pub words_summarised: u64,
     /// Payload bytes read from disk (0 for payload-cache hits).
     pub bytes_read: u64,
     /// Stored rows decoded and offered to the filter (segment payloads
@@ -67,6 +73,7 @@ impl ScanStats {
         self.zones_pruned += other.zones_pruned;
         self.zones_scanned += other.zones_scanned;
         self.zones_covered += other.zones_covered;
+        self.words_summarised += other.words_summarised;
         self.bytes_read += other.bytes_read;
         self.rows_decoded += other.rows_decoded;
     }
@@ -79,6 +86,7 @@ impl ScanStats {
             .uint("zones_pruned", self.zones_pruned)
             .uint("zones_scanned", self.zones_scanned)
             .uint("zones_covered", self.zones_covered)
+            .uint("words_summarised", self.words_summarised)
             .uint("bytes_read", self.bytes_read)
             .uint("rows_decoded", self.rows_decoded);
         o.finish()
@@ -208,6 +216,7 @@ mod tests {
                 zones_pruned: 40,
                 zones_scanned: 3,
                 zones_covered: 1,
+                words_summarised: 9,
                 bytes_read: 65_536,
                 rows_decoded: 1_024,
             }),
@@ -237,6 +246,7 @@ mod tests {
             "\"zones_pruned\"",
             "\"zones_scanned\"",
             "\"zones_covered\"",
+            "\"words_summarised\"",
             "\"bytes_read\"",
             "\"rows_decoded\"",
         ] {
@@ -291,6 +301,7 @@ mod tests {
             zones_pruned: 3,
             zones_scanned: 4,
             zones_covered: 7,
+            words_summarised: 8,
             bytes_read: 5,
             rows_decoded: 6,
         };
@@ -303,6 +314,7 @@ mod tests {
                 zones_pruned: 6,
                 zones_scanned: 8,
                 zones_covered: 14,
+                words_summarised: 16,
                 bytes_read: 10,
                 rows_decoded: 12,
             }

@@ -40,9 +40,9 @@
 # stage waterfall captured on the same host. Timed arms always run
 # with obs off; the snapshot run is separate and never timed.
 #
-# BENCH_store.json carries five derived records alongside the per-arm
+# BENCH_store.json carries six derived records alongside the per-arm
 # timings (append throughput, pruned vs full scan, streaming
-# consumers, column kernel, cold boot):
+# consumers, column kernel, bursty blocks, cold boot):
 #   {"record":"prune_speedup"}    full-scan / pruned-scan median ratio
 #                                 for a one-day one-system window over
 #                                 a 16-day five-system store — the
@@ -66,6 +66,14 @@
 #                                 and a one-category filter over warm
 #                                 blocks (expected well above the 5x
 #                                 floor verify.sh enforces)
+#   {"record":"scan_burst"}       row loops / column kernel median
+#                                 ratio for a host-set count + top-100
+#                                 and the per-category count fold over
+#                                 segments whose hosts and categories
+#                                 come in runs, plus how many of the
+#                                 drill-down's words were answered from
+#                                 word summaries (expected well above
+#                                 the 20x floor verify.sh enforces)
 set -eu
 
 cd "$(dirname "$0")/.."

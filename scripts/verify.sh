@@ -158,6 +158,31 @@ bench_smoke() {
             }
         }'
     echo "   store column-kernel floor OK"
+    # Word-summary floor: over segments whose hosts and categories come
+    # in runs, a host-set count + top-100 and the per-category count
+    # fold must run at least 20x faster through the column kernel than
+    # through the row loops. With the summaries it reads ~54x; with
+    # every word treated as mixed it read ~7x, so a trip means the
+    # kernel stopped answering one-host and one-category words from
+    # their summaries, not host jitter.
+    echo "$store_out" | awk '
+        /"record":"scan_burst"/ {
+            if (match($0, /"speedup":[0-9.]+/)) {
+                v = substr($0, RSTART + 10, RLENGTH - 10) + 0
+                seen = 1
+                if (v < 20) {
+                    printf "bench-smoke FAILED: word-summary speedup %sx below the 20x floor\n", v
+                    exit 1
+                }
+            }
+        }
+        END {
+            if (!seen) {
+                print "bench-smoke FAILED: no scan_burst record emitted"
+                exit 1
+            }
+        }'
+    echo "   store word-summary floor OK"
 }
 
 obs_smoke() {
