@@ -7,18 +7,18 @@
 //!   line parsing; `parse_header` — the header-only parse (time and
 //!   source, no `Message`) the streaming path runs, paired with
 //!   `parse`.
-//! * `ingest_batch` — the three materialized passes `Study::run` used
-//!   to make, fed from text: parse everything, render-and-tag
-//!   everything, filter everything.
+//! * `ingest_batch` — three serial materialized passes fed from text:
+//!   parse everything, render-and-tag everything, filter everything.
 //! * `ingest_stream` — the streaming pipeline: chunked read → parse →
 //!   raw-line tagging on a worker pool → in-order filtering, bounded
 //!   batches throughout.
-//! * `study_batch` / `study_stream` — `Study` end to end (generation
-//!   included) through the batch reference and the streaming pipeline.
+//! * `study_stream` — `Study` end to end (generation included) through
+//!   the streaming pipeline.
 //!
 //! Besides the per-arm timing records, two `meta` JSON records report
-//! the batch-vs-streaming speedup and the peak-in-flight memory proxy
-//! (messages resident mid-pipeline vs the materialized whole log).
+//! the ingest batch-vs-streaming speedup and the peak-in-flight memory
+//! proxy (messages resident mid-pipeline vs the materialized whole
+//! log).
 //!
 //! Emits one JSON record per benchmark on stdout; human-readable
 //! summaries go to stderr.
@@ -76,7 +76,7 @@ fn main() {
     let (batch_ns, stream_ns) = group.bench_pair(
         "ingest_batch",
         || {
-            pipeline::ingest_batch(SystemId::Liberty, &text, &rules, &filter, threads)
+            pipeline::ingest_batch(SystemId::Liberty, &text, &rules, &filter)
                 .tagged
                 .len()
         },
@@ -90,12 +90,9 @@ fn main() {
     );
 
     let study = Study::with_scale(scale, 2).threads(threads);
-    let (study_batch_ns, study_stream_ns) = group.bench_pair(
-        "study_batch",
-        || study.run_system_batch(SystemId::Liberty).raw_alerts(),
-        "study_stream",
-        || study.run_system(SystemId::Liberty).raw_alerts(),
-    );
+    let study_stream_ns = group.bench("study_stream", || {
+        study.run_system(SystemId::Liberty).raw_alerts()
+    });
 
     // Memory proxy: one instrumented run of each streaming path.
     let ingest_run =
@@ -133,14 +130,11 @@ fn main() {
         ingest_run.stats.in_flight_bound_batches,
     );
 
-    let study_speedup = study_batch_ns as f64 / study_stream_ns as f64;
     let stats = study_run.stats;
     let mut rec = JsonObject::new();
     rec.str("name", "pipeline_liberty/meta_study")
         .uint("threads", stats.threads as u64)
-        .uint("batch_median_ns", study_batch_ns as u64)
         .uint("stream_median_ns", study_stream_ns as u64)
-        .num("speedup_stream_vs_batch", study_speedup)
         .uint(
             "stream_peak_in_flight_messages",
             stats.peak_in_flight_messages as u64,
@@ -148,12 +142,10 @@ fn main() {
         .uint(
             "stream_in_flight_bound_messages",
             stats.in_flight_bound_messages.unwrap_or(0) as u64,
-        )
-        .uint("batch_peak_in_flight_messages", whole_log);
+        );
     println!("{}", rec.finish());
     eprintln!(
-        "study:  stream {study_speedup:.2}x batch; peak in-flight {} msgs \
-         (bound {}) vs whole log {whole_log}",
+        "study:  peak in-flight {} msgs (bound {}) vs whole log {whole_log}",
         stats.peak_in_flight_messages,
         stats.in_flight_bound_messages.unwrap_or(0),
     );

@@ -499,7 +499,7 @@ fn main() {
         let mut registry = sclog_types::CategoryRegistry::new();
         let rules = RuleSet::builtin(SystemId::BlueGeneL, &mut registry);
         let filter = SpatioTemporalFilter::paper();
-        let result = ingest_batch(SystemId::BlueGeneL, &text, &rules, &filter, 1);
+        let result = ingest_batch(SystemId::BlueGeneL, &text, &rules, &filter);
         (result, registry)
     };
     let (result, registry) = resimulate();

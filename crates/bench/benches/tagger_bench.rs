@@ -2,9 +2,10 @@
 //!
 //! The tagging loop is the hot path of the reproduction: Section 3.2's
 //! expert rules must run over every one of the paper's 178 million
-//! lines. This bench times the Aho-Corasick-prescanned engine against
-//! the brute-force all-rules path, serial and parallel, on two
-//! workload shapes:
+//! lines. This bench times the Aho-Corasick-prescanned engine serially
+//! and on a 4-worker `TagPool` (through the streaming pipeline's
+//! entry, `tag_filter_stream`), and the brute-force all-rules path
+//! serially, on two workload shapes:
 //!
 //! * **Spirit** — mostly background ("mostly-untagged"), where the
 //!   prescan rejects almost every line without running a single regex;
@@ -16,12 +17,15 @@
 //! to stderr.
 
 use sclog_bench::{BenchGroup, HARNESS_SEED};
+use sclog_core::pipeline::tag_filter_stream;
+use sclog_filter::SpatioTemporalFilter;
+use sclog_obs::Recorder;
 use sclog_rules::{RuleSet, TagScratch};
 use sclog_simgen::{generate, Scale};
 use sclog_types::json::JsonObject;
 use sclog_types::{CategoryRegistry, SystemId};
 
-/// Threads for the parallel arms — matches the study driver's cap.
+/// Workers for the parallel arm.
 const THREADS: usize = 4;
 
 /// One counted serial pass over the log, reported as a
@@ -101,22 +105,44 @@ fn bench_system(system: SystemId, scale: Scale) {
     let mut group = BenchGroup::new(&name);
     group.sample_size(10).throughput_elements(log.len() as u64);
 
-    // Each serial/parallel comparison interleaves its samples so the
+    // The parallel arm tags on the pipeline's pool with no ground
+    // truth; its in-order filter runs on the consumer thread. Four
+    // batches per worker, so one mostly-background batch does not
+    // leave its worker idle at the tail.
+    let filter = SpatioTemporalFilter::paper();
+    let chunk = log.messages.len().div_ceil(THREADS * 4);
+    let pooled = || {
+        tag_filter_stream(
+            &rules,
+            &log.messages,
+            &log.interner,
+            None,
+            &filter,
+            THREADS,
+            chunk,
+            &Recorder::disabled(),
+        )
+        .0
+    };
+    assert_eq!(
+        pooled().alerts,
+        pre.alerts,
+        "{system}: pooled and serial tagging disagree"
+    );
+
+    // The serial/parallel comparison interleaves its samples so the
     // pair is measured under the same drift (frequency scaling,
     // allocator state) rather than one arm after the other.
     let (serial, parallel) = group.bench_pair(
         "serial_prefiltered",
         || rules.tag_messages(&log.messages, &log.interner),
         "parallel4_prefiltered",
-        || rules.tag_messages_parallel(&log.messages, &log.interner, THREADS),
+        pooled,
     );
     emit_speedup_record(system, serial, parallel);
-    group.bench_pair(
-        "serial_brute",
-        || rules.tag_messages_unfiltered(&log.messages, &log.interner),
-        "parallel4_brute",
-        || rules.tag_messages_parallel_unfiltered(&log.messages, &log.interner, THREADS),
-    );
+    group.bench("serial_brute", || {
+        rules.tag_messages_unfiltered(&log.messages, &log.interner)
+    });
 }
 
 fn main() {

@@ -14,7 +14,7 @@
 use sclog_core::pipeline::channel::{bounded, TrySendError};
 use sclog_core::pipeline::InFlightGauge;
 use sclog_obs::Recorder;
-use sclog_rules::{LineBatch, RuleSet, TagPool};
+use sclog_rules::{LineBatch, RuleSet, TagJob, TagPool};
 use sclog_sync::atomic::{AtomicBool, Ordering};
 use sclog_sync::thread;
 use sclog_sync::{Condvar, Mutex, PoisonError};
@@ -143,9 +143,9 @@ pub fn gauge_permit_protocol(bound: usize, batches: usize) {
 /// handshake: every submitted batch must come back exactly once, and
 /// the scope's worker join must terminate.
 pub fn tagpool_close_drain(rules: &RuleSet, workers: usize, job_cap: usize, batches: usize) {
-    let delivered = TagPool::scope(rules, workers, job_cap, |pool| {
+    let delivered = TagPool::scope(rules, workers, job_cap, &Recorder::disabled(), |pool| {
         for _ in 0..batches {
-            pool.submit_lines(LineBatch::default());
+            pool.submit(TagJob::Lines(LineBatch::default()));
         }
         pool.close();
         let mut seqs: Vec<u64> = std::iter::from_fn(|| pool.recv()).map(|b| b.seq).collect();

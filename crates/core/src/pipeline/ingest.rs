@@ -28,11 +28,12 @@
 //! rendered-message tagging) is covered by property tests over all
 //! five systems, corrupt lines included.
 
-use super::{channel, InFlightGauge, PipeMetrics, PipelineStats, Reassembler, SerialMetrics};
+use super::{channel, drive, PipelineStats};
 use sclog_filter::{AlertFilter, SpatioTemporalFilter};
 use sclog_obs::{Counter, Histogram, ObsConfig, Recorder, Stage, ThreadRecorder};
 use sclog_parse::{LineChunker, LogReader, ParseStats};
-use sclog_rules::{LineBatch, LineRef, RuleSet, TagPool, TagScratch, TaggedLog};
+use sclog_rules::{LineBatch, LineRef, RuleSet, TagJob, TaggedLog};
+use sclog_sync::thread;
 use sclog_types::{Alert, ObsReport, SourceInterner, SystemId};
 use std::io::Read;
 
@@ -94,6 +95,12 @@ pub struct IngestResult {
 
 /// Ingests raw log text from a reader through the streaming pipeline.
 ///
+/// A reader thread pulls text chunks into a bounded channel; the
+/// calling thread parses each chunk's line headers and submits it as a
+/// [`TagJob::Lines`] batch to the shared tag-and-filter loop, which
+/// tags the raw lines on [`IngestConfig::threads`] workers (inline for
+/// one) and filters them in order.
+///
 /// # Errors
 ///
 /// Returns the first I/O error from `reader`; work completed before
@@ -109,148 +116,71 @@ pub fn ingest_stream(
     filter: &SpatioTemporalFilter,
     config: IngestConfig,
 ) -> std::io::Result<IngestResult> {
-    assert!(config.threads > 0, "need at least one thread");
     assert!(
         config.text_queue > 0,
         "text queue capacity must be positive"
     );
-    if config.threads == 1 {
-        return ingest_serial(system, reader, rules, filter, config);
-    }
-
-    let job_cap = config.threads * sclog_rules::pool::JOBS_PER_WORKER;
-    let bound_batches = job_cap + config.threads;
-    let gauge = InFlightGauge::new(bound_batches);
     let recorder = config.obs.recorder();
-    let pipe_metrics = PipeMetrics::register(&recorder);
     let metrics = IngestMetrics::register(&recorder);
-    gauge.adopt_into(&recorder);
     let mut log_reader = LogReader::for_system(system);
-    let mut batches = 0u64;
-    let mut next_index = 0usize;
-
-    let outcome = TagPool::scope_with(rules, config.threads, job_cap, &recorder, |pool| {
-        let (text_tx, text_rx) = channel::bounded(config.text_queue);
-        let (permit_tx, permit_rx) = channel::bounded::<()>(bound_batches);
-        let gauge = &gauge;
-        let log_reader = &mut log_reader;
-        let batches = &mut batches;
-        let next_index = &mut next_index;
-        let tr_read = recorder.thread("reader");
-        let tr_cons = recorder.thread("consumer");
-        let tr_main = recorder.thread("parser");
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                let tr = tr_read;
-                let mut chunks = LineChunker::with_target(reader, config.chunk_bytes);
-                loop {
-                    let item = {
-                        // The chunker pulls from the underlying reader
-                        // here — this is the stage's real I/O work.
-                        let _busy = tr.span(metrics.read);
-                        chunks.next()
-                    };
-                    let Some(chunk) = item else { break };
-                    let bytes = chunk.as_ref().map_or(0, |t| t.len()) as u64;
-                    tr.stage_items(metrics.read, 1, bytes);
-                    let _wait = tr.wait_span(metrics.read);
-                    if text_tx.send(chunk).is_err() {
-                        break; // parse stage bailed on an earlier error
-                    }
-                }
-                tr.add(metrics.swar_blocks, chunks.swar_blocks());
-            });
-            let consumer = s.spawn(move || {
-                let tr = tr_cons;
-                let mut reasm = Reassembler::new();
-                let mut alerts = Vec::new();
-                let mut filtered = Vec::new();
-                let mut stream = filter.stream();
-                loop {
-                    let received = {
-                        let _wait = tr.wait_span(pipe_metrics.filter);
-                        pool.recv()
-                    };
-                    let Some(batch) = received else { break };
-                    let _busy = tr.span(pipe_metrics.filter);
-                    reasm.push(batch.seq, batch);
-                    tr.record_max(pipe_metrics.pending_peak, reasm.pending() as u64);
-                    while let Some(b) = reasm.pop_ready() {
-                        gauge.release(b.len);
-                        let _ = permit_rx.recv();
-                        tr.stage_items(pipe_metrics.filter, b.alerts.len() as u64, 0);
-                        for a in b.alerts {
-                            if stream.push(&a) {
-                                filtered.push(a);
-                            }
-                            alerts.push(a);
+    let (tagged, filtered, stats) = drive(
+        rules,
+        filter,
+        config.threads,
+        &recorder,
+        "parser",
+        |tr, submit| {
+            thread::scope(|s| {
+                let (text_tx, text_rx) = channel::bounded(config.text_queue);
+                let tr_read = recorder.thread("reader");
+                thread::spawn_in(s, move || {
+                    let mut chunks = LineChunker::with_target(reader, config.chunk_bytes);
+                    loop {
+                        let item = {
+                            // The chunker pulls from the underlying reader
+                            // here — this is the stage's real I/O work.
+                            let _busy = tr_read.span(metrics.read);
+                            chunks.next()
+                        };
+                        let Some(chunk) = item else { break };
+                        let bytes = chunk.as_ref().map_or(0, |t| t.len()) as u64;
+                        tr_read.stage_items(metrics.read, 1, bytes);
+                        let _wait = tr_read.wait_span(metrics.read);
+                        if text_tx.send(chunk).is_err() {
+                            break; // parse stage bailed on an earlier error
                         }
                     }
-                }
-                if let Some(gap) = reasm.truncation() {
-                    panic!("tagging stream truncated: {gap}");
-                }
-                tr.add(pipe_metrics.alerts_in, stream.pushed());
-                tr.add(pipe_metrics.alerts_kept, stream.kept());
-                (alerts, filtered)
-            });
-            let mut err = None;
-            loop {
-                let item = {
-                    let _wait = tr_main.wait_span(metrics.parse);
+                    tr_read.add(metrics.swar_blocks, chunks.swar_blocks());
+                });
+                let next_chunk = || {
+                    let _wait = tr.wait_span(metrics.parse);
                     text_rx.recv()
                 };
-                let Some(item) = item else { break };
-                let text = match item {
-                    Ok(text) => text,
-                    Err(e) => {
-                        err = Some(e);
-                        break;
-                    }
-                };
-                let lines = {
-                    let _busy = tr_main.span(metrics.parse);
-                    parse_chunk(log_reader, &text, next_index)
-                };
-                tr_main.observe(metrics.chunk_bytes, text.len() as u64);
-                tr_main.stage_items(metrics.parse, lines.len() as u64, text.len() as u64);
-                {
-                    // Backpressure: block while the in-flight bound is full.
-                    let _wait = tr_main.wait_span(pipe_metrics.produce);
-                    permit_tx.send(()).expect("consumer outlives producer");
+                let mut next_index = 0usize;
+                // An early return drops `text_rx`, so the reader thread
+                // unblocks and exits before the scope joins it.
+                while let Some(item) = next_chunk() {
+                    let text = item?;
+                    let lines = {
+                        let _busy = tr.span(metrics.parse);
+                        parse_chunk(&mut log_reader, &text, &mut next_index)
+                    };
+                    tr.observe(metrics.chunk_bytes, text.len() as u64);
+                    tr.stage_items(metrics.parse, lines.len() as u64, text.len() as u64);
+                    submit(TagJob::Lines(LineBatch { text, lines }));
                 }
-                let _busy = tr_main.span(pipe_metrics.produce);
-                gauge.acquire(lines.len());
-                pool.submit_lines(LineBatch { text, lines });
-                *batches += 1;
-            }
-            drop(text_rx); // reader thread unblocks and exits
-            drop(permit_tx);
-            pool.close();
-            let (alerts, filtered) = consumer.join().expect("pipeline consumer panicked");
-            metrics.flush_parse(&tr_main, log_reader.stats());
-            match err {
-                Some(e) => Err(e),
-                None => Ok((alerts, filtered)),
-            }
-        })
-    });
-    let (alerts, filtered) = outcome?;
+                metrics.flush_parse(tr, log_reader.stats());
+                Ok::<(), std::io::Error>(())
+            })
+        },
+    )?;
     let (_, ctx, parse) = log_reader.into_parts();
-
     Ok(IngestResult {
-        tagged: TaggedLog { alerts },
+        tagged,
         filtered,
         parse,
         sources: ctx.interner,
-        stats: PipelineStats {
-            threads: config.threads,
-            batches,
-            peak_in_flight_batches: gauge.peak_batches(),
-            in_flight_bound_batches: bound_batches,
-            peak_in_flight_messages: gauge.peak_messages(),
-            in_flight_bound_messages: None,
-        },
+        stats,
         obs: config
             .obs
             .is_enabled()
@@ -298,84 +228,6 @@ impl IngestMetrics {
     }
 }
 
-/// The single-threaded arm: chunked read, parse, raw-line tag and
-/// filter inline — one chunk in flight by construction.
-fn ingest_serial(
-    system: SystemId,
-    reader: impl Read,
-    rules: &RuleSet,
-    filter: &SpatioTemporalFilter,
-    config: IngestConfig,
-) -> std::io::Result<IngestResult> {
-    let recorder = config.obs.recorder();
-    let metrics = IngestMetrics::register(&recorder);
-    let serial_metrics = SerialMetrics::register(&recorder);
-    let tr = recorder.thread("serial");
-    let mut log_reader = LogReader::for_system(system);
-    let mut scratch = TagScratch::new();
-    let mut alerts = Vec::new();
-    let mut filtered = Vec::new();
-    let mut stream = filter.stream();
-    let mut next_index = 0usize;
-    let mut batches = 0u64;
-    let mut peak = 0usize;
-    let mut chunks = LineChunker::with_target(reader, config.chunk_bytes);
-    loop {
-        let item = {
-            let _busy = tr.span(metrics.read);
-            chunks.next()
-        };
-        let Some(chunk) = item else { break };
-        let text = chunk?;
-        tr.stage_items(metrics.read, 1, text.len() as u64);
-        tr.observe(metrics.chunk_bytes, text.len() as u64);
-        let lines = {
-            let _busy = tr.span(metrics.parse);
-            parse_chunk(&mut log_reader, &text, &mut next_index)
-        };
-        tr.stage_items(metrics.parse, lines.len() as u64, text.len() as u64);
-        batches += 1;
-        peak = peak.max(lines.len());
-        let _busy = tr.span(serial_metrics.tag);
-        for line in &lines {
-            let raw = &text[line.start..line.end];
-            if let Some(category) = rules.tag_line_with(raw, &mut scratch) {
-                let alert = Alert::new(line.time, line.source, category, line.index);
-                if stream.push(&alert) {
-                    filtered.push(alert);
-                }
-                alerts.push(alert);
-            }
-        }
-        let counts = scratch.take_counts();
-        tr.stage_items(serial_metrics.tag, lines.len() as u64, counts.bytes);
-        serial_metrics.flush(&tr, counts);
-    }
-    tr.add(serial_metrics.alerts_in, stream.pushed());
-    tr.add(serial_metrics.alerts_kept, stream.kept());
-    tr.add(metrics.swar_blocks, chunks.swar_blocks());
-    metrics.flush_parse(&tr, log_reader.stats());
-    let (_, ctx, parse) = log_reader.into_parts();
-    Ok(IngestResult {
-        tagged: TaggedLog { alerts },
-        filtered,
-        parse,
-        sources: ctx.interner,
-        stats: PipelineStats {
-            threads: 1,
-            batches,
-            peak_in_flight_batches: 1.min(batches as usize),
-            in_flight_bound_batches: 1,
-            peak_in_flight_messages: peak,
-            in_flight_bound_messages: None,
-        },
-        obs: config
-            .obs
-            .is_enabled()
-            .then(|| recorder.snapshot().report()),
-    })
-}
-
 /// Parses one text chunk line by line, returning a [`LineRef`] per
 /// accepted line: its span in `text` plus the header fields from
 /// [`LogReader::push_header`]. Nothing else of a line is parsed — the
@@ -409,20 +261,20 @@ fn parse_chunk(reader: &mut LogReader, text: &str, next_index: &mut usize) -> Ve
     lines
 }
 
-/// The materialized reference path: parse everything, tag the rendered
-/// messages, filter once — identical output to [`ingest_stream`], with
-/// the whole log as its working set (reflected in the returned stats).
+/// The materialized reference path: parse every line into a full
+/// `Message`, tag the rendered messages serially, filter once —
+/// identical output to [`ingest_stream`], with the whole log as its
+/// working set (reflected in the returned stats).
 pub fn ingest_batch(
     system: SystemId,
     text: &str,
     rules: &RuleSet,
     filter: &SpatioTemporalFilter,
-    threads: usize,
 ) -> IngestResult {
     let mut reader = LogReader::for_system(system);
     reader.push_text(text);
     let (messages, ctx, parse) = reader.into_parts();
-    let tagged = rules.tag_messages_parallel(&messages, &ctx.interner, threads);
+    let tagged = rules.tag_messages(&messages, &ctx.interner);
     let filtered = filter.filter(&tagged.alerts);
     let n = messages.len();
     IngestResult {
@@ -431,7 +283,7 @@ pub fn ingest_batch(
         parse,
         sources: ctx.interner,
         stats: PipelineStats {
-            threads,
+            threads: 1,
             batches: 1,
             peak_in_flight_batches: 1,
             in_flight_bound_batches: 1,
@@ -463,7 +315,7 @@ mod tests {
         let text = liberty_text();
         let (rules, _) = liberty_rules();
         let filter = SpatioTemporalFilter::paper();
-        let batch = ingest_batch(SystemId::Liberty, &text, &rules, &filter, 1);
+        let batch = ingest_batch(SystemId::Liberty, &text, &rules, &filter);
         for threads in [1, 2, 4] {
             let config = IngestConfig {
                 threads,
@@ -554,7 +406,7 @@ mod tests {
                     Dec 12 00:00:03 ln3 pbs_mom: task_check, cannot tm_reply to 9 task 1\r";
         let (rules, _) = liberty_rules();
         let filter = SpatioTemporalFilter::paper();
-        let batch = ingest_batch(SystemId::Liberty, text, &rules, &filter, 1);
+        let batch = ingest_batch(SystemId::Liberty, text, &rules, &filter);
         assert_eq!(batch.parse.parsed, 3, "all three CRLF lines parse");
         for threads in [1, 2] {
             for chunk_bytes in [8, 70, 4096] {

@@ -1,25 +1,30 @@
 //! The streaming bounded-memory pipeline.
 //!
-//! `Study::run` used to be three fully-materialized batch passes —
-//! tag the whole log, attach all truth, filter all alerts — so peak
-//! memory was the whole log's alerts and no stage overlapped another.
-//! This module runs the same stages over *bounded batches*:
+//! Tagging, truth attachment and filtering run over *bounded
+//! batches*, with the stages overlapped. Both pipelines —
+//! [`tag_filter_stream`] over an in-memory message slice (under
+//! `Study::run`) and [`ingest_stream`] over raw text — run on one
+//! private tag-and-filter loop, `drive`:
 //!
 //! ```text
-//!  producer (main thread)          TagPool workers          consumer thread
+//!  producer thread                 TagPool workers          consumer thread
 //!  ────────────────────────        ────────────────         ────────────────────
-//!  chunk messages ──permit──▶      render + tag      ──▶    Reassembler (by seq)
-//!        │     bounded queue       fuse ground truth          │ in order
-//!        ▼                         (one TagScratch             ▼
-//!  blocks when the pool             per worker)          SpatioTemporalStream
+//!  make TagJobs ──permit──▶        TagJob::run       ──▶    Reassembler (by seq)
+//!        │     bounded queue       (one TagScratch             │ in order
+//!        ▼                          per worker)                ▼
+//!  blocks when the pool                                  SpatioTemporalStream
 //!  is saturated ◀──────────── backpressure ─────────────  filtered alerts out
 //! ```
 //!
-//! Order and results are bit-identical to the batch path at any thread
-//! count and chunk size: workers may finish out of order, but the
-//! [`Reassembler`] releases batches strictly in submission order, and
-//! within a batch alerts keep message order, so the filter sees the
-//! exact sequence the batch path would produce.
+//! With one thread `drive` runs inline instead: each batch is
+//! tagged on the producing thread by the same per-job function the
+//! workers call ([`TagMetrics::run`]) and filtered right away.
+//!
+//! Order and results are bit-identical to the serial passes at any
+//! thread count and chunk size: workers may finish out of order, but
+//! the [`Reassembler`] releases batches strictly in submission order,
+//! and within a batch alerts keep message order, so the filter sees
+//! the exact sequence `tag_messages` would produce.
 //!
 //! In-flight data is bounded end to end: the pool's job queue bounds
 //! *submitted* batches, and a permit [`channel`] bounds *unprocessed*
@@ -32,11 +37,14 @@ mod ingest;
 
 pub use ingest::{ingest_batch, ingest_stream, IngestConfig, IngestResult};
 
-use sclog_filter::SpatioTemporalFilter;
-use sclog_obs::{PeakGauge, Recorder, Stage, ThreadRecorder};
-use sclog_rules::{RuleSet, TagScratch, TaggedLog};
+use sclog_filter::{SpatioTemporalFilter, SpatioTemporalStream};
+use sclog_obs::{Counter, Peak, PeakGauge, Recorder, Stage, ThreadRecorder};
+use sclog_rules::pool::{PoolClient, JOBS_PER_WORKER};
+use sclog_rules::{RuleSet, TagJob, TagMetrics, TagPool, TagScratch, TaggedLog};
+use sclog_sync::thread;
 use sclog_types::{Alert, FailureId, Message, SourceInterner};
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 
 /// Default messages per tagging batch.
 pub const DEFAULT_CHUNK_MESSAGES: usize = 4096;
@@ -99,11 +107,6 @@ impl<T> Reassembler<T> {
         self.pending.len()
     }
 
-    /// Whether every pushed item has been popped.
-    pub fn is_drained(&self) -> bool {
-        self.pending.is_empty()
-    }
-
     /// Evidence of a truncated stream, to be checked once the input has
     /// ended: `Some` when items are still stuck behind a sequence
     /// number that never arrived (a producer died mid-stream), `None`
@@ -121,7 +124,7 @@ impl<T> Reassembler<T> {
 
 impl<T> Default for Reassembler<T> {
     fn default() -> Self {
-        Reassembler::new()
+        Self::new()
     }
 }
 
@@ -182,221 +185,238 @@ pub struct PipelineStats {
 /// bit-identical to `tag_messages` + `attach_truth` + batch filter for
 /// every `threads`/`chunk` combination.
 ///
+/// `recorder` sees stages `produce` (chunking + pool submission, with
+/// permit waits attributed as queue wait), `tag` (inside the pool
+/// workers) and `filter` (in-order reassembly + spatio-temporal
+/// filtering, with idle `pool.recv` time as queue wait), the in-flight
+/// gauges, the reassembler's pending high-water mark, and the tagger's
+/// prefilter counters; with one thread, only `tag` and the counters.
+/// [`Recorder::disabled`] reads no clock anywhere.
+///
 /// # Panics
 ///
 /// Panics if `threads` or `chunk` is zero, or if `truth` is present
 /// with a length different from `messages`.
-pub fn tag_filter_stream(
-    rules: &RuleSet,
-    messages: &[Message],
-    interner: &SourceInterner,
-    truth: Option<&[Option<FailureId>]>,
-    filter: &SpatioTemporalFilter,
-    threads: usize,
-    chunk: usize,
-) -> (TaggedLog, Vec<Alert>, PipelineStats) {
-    tag_filter_stream_with(
-        rules,
-        messages,
-        interner,
-        truth,
-        filter,
-        threads,
-        chunk,
-        &Recorder::disabled(),
-    )
-}
-
-/// [`tag_filter_stream`] with an observability recorder: stages
-/// `produce` (chunking + pool submission, with permit waits attributed
-/// as queue wait), `tag` (inside the pool workers) and `filter`
-/// (in-order reassembly + spatio-temporal filtering, with idle
-/// `pool.recv` time as queue wait) appear in the report's waterfall,
-/// alongside the in-flight gauges, the reassembler's pending
-/// high-water mark, and the tagger's prefilter counters. With
-/// [`Recorder::disabled`] this is exactly [`tag_filter_stream`]: no
-/// clock is read anywhere.
-///
-/// # Panics
-///
-/// As [`tag_filter_stream`].
 #[allow(clippy::too_many_arguments)]
-pub fn tag_filter_stream_with(
-    rules: &RuleSet,
-    messages: &[Message],
-    interner: &SourceInterner,
-    truth: Option<&[Option<FailureId>]>,
+pub fn tag_filter_stream<'a>(
+    rules: &'a RuleSet,
+    messages: &'a [Message],
+    interner: &'a SourceInterner,
+    truth: Option<&'a [Option<FailureId>]>,
     filter: &SpatioTemporalFilter,
     threads: usize,
     chunk: usize,
     recorder: &Recorder,
 ) -> (TaggedLog, Vec<Alert>, PipelineStats) {
-    assert!(threads > 0, "need at least one thread");
     assert!(chunk > 0, "chunk size must be positive");
     if let Some(t) = truth {
         assert_eq!(t.len(), messages.len(), "truth must align with messages");
     }
-    if threads == 1 {
-        return tag_filter_serial(rules, messages, interner, truth, filter, chunk, recorder);
-    }
+    let Ok((tagged, filtered, mut stats)) =
+        drive(rules, filter, threads, recorder, "producer", |_, submit| {
+            for (k, msgs) in messages.chunks(chunk).enumerate() {
+                let base = k * chunk;
+                submit(TagJob::Messages {
+                    base,
+                    msgs,
+                    interner,
+                    truth: truth.map(|t| &t[base..base + msgs.len()]),
+                });
+            }
+            Ok::<(), Infallible>(())
+        });
+    stats.in_flight_bound_messages = Some(stats.in_flight_bound_batches * chunk);
+    (tagged, filtered, stats)
+}
 
-    let job_cap = threads * sclog_rules::pool::JOBS_PER_WORKER;
-    // Unprocessed batches: queued jobs + one per busy worker (the
-    // consumer's reassembly window can never hold more, since an
-    // out-of-order completion still occupies its submission permit).
-    let bound_batches = job_cap + threads;
-    let gauge = InFlightGauge::new(bound_batches);
-    let metrics = PipeMetrics::register(recorder);
-    gauge.adopt_into(recorder);
+/// Runs the tag and filter stages over the jobs `produce` submits.
+///
+/// `produce` runs on the calling thread with that thread's recorder
+/// (labelled `producer`, or `serial` with one thread) and a submit
+/// function; an error it returns ends the run once the work already
+/// submitted has drained. With more than one thread, jobs go to a
+/// [`TagPool`] behind the permit channel and a consumer thread filters
+/// them in submission order; with one, each job is tagged and filtered
+/// inline. The returned stats carry no message-level bound.
+fn drive<'env, E>(
+    rules: &'env RuleSet,
+    filter: &SpatioTemporalFilter,
+    threads: usize,
+    recorder: &Recorder,
+    producer: &str,
+    produce: impl FnOnce(&ThreadRecorder, &mut dyn FnMut(TagJob<'env>)) -> Result<(), E>,
+) -> Result<(TaggedLog, Vec<Alert>, PipelineStats), E> {
+    assert!(threads > 0, "need at least one thread");
     let mut batches = 0u64;
-
-    let (alerts, filtered) =
-        sclog_rules::TagPool::scope_with(rules, threads, job_cap, recorder, |pool| {
+    let (bound_batches, gauge, outcome) = if threads == 1 {
+        let tag = TagMetrics::register(recorder);
+        let counts = FilterCounts::register(recorder);
+        let gauge = InFlightGauge::new(1);
+        let tr = recorder.thread("serial");
+        let mut scratch = TagScratch::new();
+        let mut sink = Sink::new(filter);
+        let produced = produce(&tr, &mut |job| {
+            let len = job.len();
+            gauge.acquire(len);
+            sink.push(tag.run(&tr, rules, &mut scratch, job));
+            gauge.release(len);
+            batches += 1;
+        });
+        (1, gauge, produced.map(|()| sink.finish(&tr, counts)))
+    } else {
+        let job_cap = threads * JOBS_PER_WORKER;
+        // Unprocessed batches: queued jobs + one per busy worker (the
+        // consumer's reassembly window can never hold more, since an
+        // out-of-order completion still occupies its submission permit).
+        let bound_batches = job_cap + threads;
+        let gauge = InFlightGauge::new(bound_batches);
+        let stages = PoolStages::register(recorder);
+        let counts = FilterCounts::register(recorder);
+        gauge.adopt_into(recorder);
+        let outcome = TagPool::scope(rules, threads, job_cap, recorder, |pool| {
             let (permit_tx, permit_rx) = channel::bounded::<()>(bound_batches);
             let gauge = &gauge;
             let tr_cons = recorder.thread("consumer");
-            let tr_prod = recorder.thread("producer");
-            sclog_sync::thread::scope(|s| {
-                let consumer = sclog_sync::thread::spawn_in(s, move || {
-                    let tr = tr_cons;
-                    let mut reasm = Reassembler::new();
-                    let mut alerts = Vec::new();
-                    let mut filtered = Vec::new();
-                    let mut stream = filter.stream();
-                    loop {
-                        let received = {
-                            // Idle until a worker completes a batch.
-                            let _wait = tr.wait_span(metrics.filter);
-                            pool.recv()
-                        };
-                        let Some(batch) = received else { break };
-                        let _busy = tr.span(metrics.filter);
-                        reasm.push(batch.seq, batch);
-                        tr.record_max(metrics.pending_peak, reasm.pending() as u64);
-                        while let Some(b) = reasm.pop_ready() {
-                            gauge.release(b.len);
-                            let _ = permit_rx.recv();
-                            tr.stage_items(metrics.filter, b.alerts.len() as u64, 0);
-                            for a in b.alerts {
-                                if stream.push(&a) {
-                                    filtered.push(a);
-                                }
-                                alerts.push(a);
-                            }
-                        }
-                    }
-                    if let Some(gap) = reasm.truncation() {
-                        panic!("tagging stream truncated: {gap}");
-                    }
-                    tr.add(metrics.alerts_in, stream.pushed());
-                    tr.add(metrics.alerts_kept, stream.kept());
-                    (alerts, filtered)
+            let tr_prod = recorder.thread(producer);
+            thread::scope(|s| {
+                let consumer = thread::spawn_in(s, move || {
+                    consume(pool, permit_rx, gauge, filter, &tr_cons, stages, counts)
                 });
-                for (k, msgs) in messages.chunks(chunk).enumerate() {
+                let produced = produce(&tr_prod, &mut |job| {
                     {
                         // Backpressure: block here while the bound is full.
-                        let _wait = tr_prod.wait_span(metrics.produce);
+                        let _wait = tr_prod.wait_span(stages.produce);
                         permit_tx.send(()).expect("consumer outlives producer");
                     }
-                    let _busy = tr_prod.span(metrics.produce);
-                    gauge.acquire(msgs.len());
-                    let base = k * chunk;
-                    pool.submit_messages(
-                        base,
-                        msgs,
-                        interner,
-                        truth.map(|t| &t[base..base + msgs.len()]),
-                    );
-                    tr_prod.stage_items(metrics.produce, msgs.len() as u64, 0);
+                    let _busy = tr_prod.span(stages.produce);
+                    let len = job.len();
+                    gauge.acquire(len);
+                    pool.submit(job);
+                    tr_prod.stage_items(stages.produce, len as u64, 0);
                     batches += 1;
-                }
+                });
                 drop(permit_tx);
                 pool.close();
-                consumer.join().expect("pipeline consumer panicked")
+                let out = consumer.join().expect("pipeline consumer panicked");
+                produced.map(|()| out)
             })
         });
-
+        (bound_batches, gauge, outcome)
+    };
+    let (alerts, filtered) = outcome?;
     let stats = PipelineStats {
         threads,
         batches,
         peak_in_flight_batches: gauge.peak_batches(),
         in_flight_bound_batches: bound_batches,
         peak_in_flight_messages: gauge.peak_messages(),
-        in_flight_bound_messages: Some(bound_batches * chunk),
+        in_flight_bound_messages: None,
     };
-    (TaggedLog { alerts }, filtered, stats)
+    Ok((TaggedLog { alerts }, filtered, stats))
 }
 
-/// Metric handles the streaming pipeline registers up front (before
-/// any thread shard seals the recorder).
+/// The consumer thread: reassembles completed batches in submission
+/// order, returns each one's permit, and filters its alerts.
+fn consume(
+    pool: &PoolClient<'_, '_>,
+    permits: channel::Receiver<()>,
+    gauge: &InFlightGauge,
+    filter: &SpatioTemporalFilter,
+    tr: &ThreadRecorder,
+    stages: PoolStages,
+    counts: FilterCounts,
+) -> (Vec<Alert>, Vec<Alert>) {
+    let mut reasm = Reassembler::new();
+    let mut sink = Sink::new(filter);
+    loop {
+        let received = {
+            // Idle until a worker completes a batch.
+            let _wait = tr.wait_span(stages.filter);
+            pool.recv()
+        };
+        let Some(batch) = received else { break };
+        let _busy = tr.span(stages.filter);
+        reasm.push(batch.seq, batch);
+        tr.record_max(stages.pending_peak, reasm.pending() as u64);
+        while let Some(b) = reasm.pop_ready() {
+            gauge.release(b.len);
+            let _ = permits.recv();
+            tr.stage_items(stages.filter, b.alerts.len() as u64, 0);
+            sink.push(b.alerts);
+        }
+    }
+    if let Some(gap) = reasm.truncation() {
+        panic!("tagging stream truncated: {gap}");
+    }
+    sink.finish(tr, counts)
+}
+
+/// The filter end of the pipeline: in-order alerts in, the tagged log
+/// and its survivors out.
+struct Sink {
+    stream: SpatioTemporalStream,
+    alerts: Vec<Alert>,
+    filtered: Vec<Alert>,
+}
+
+impl Sink {
+    fn new(filter: &SpatioTemporalFilter) -> Self {
+        Sink {
+            stream: filter.stream(),
+            alerts: Vec::new(),
+            filtered: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, batch: Vec<Alert>) {
+        for a in batch {
+            if self.stream.push(&a) {
+                self.filtered.push(a);
+            }
+            self.alerts.push(a);
+        }
+    }
+
+    fn finish(self, tr: &ThreadRecorder, counts: FilterCounts) -> (Vec<Alert>, Vec<Alert>) {
+        tr.add(counts.alerts_in, self.stream.pushed());
+        tr.add(counts.alerts_kept, self.stream.kept());
+        (self.alerts, self.filtered)
+    }
+}
+
+/// Stages only the pooled arm has (registered up front, before any
+/// thread shard seals the recorder).
 #[derive(Debug, Clone, Copy)]
-struct PipeMetrics {
+struct PoolStages {
     produce: Stage,
     filter: Stage,
     /// High-water mark of batches the reassembler held out of order.
-    pending_peak: sclog_obs::Peak,
-    alerts_in: sclog_obs::Counter,
-    alerts_kept: sclog_obs::Counter,
+    pending_peak: Peak,
 }
 
-impl PipeMetrics {
+impl PoolStages {
     fn register(rec: &Recorder) -> Self {
-        PipeMetrics {
+        PoolStages {
             produce: rec.stage("produce"),
             filter: rec.stage("filter"),
             pending_peak: rec.peak("pipeline.reassembler.pending_peak"),
-            alerts_in: rec.counter("filter.alerts_in"),
-            alerts_kept: rec.counter("filter.alerts_kept"),
         }
     }
 }
 
-/// Serial-arm metric handles: the same names the pool path uses, so a
-/// report reads identically at any thread count.
+/// The filter's in/out tallies, recorded by both arms.
 #[derive(Debug, Clone, Copy)]
-struct SerialMetrics {
-    tag: Stage,
-    lines: sclog_obs::Counter,
-    bytes: sclog_obs::Counter,
-    gated_out: sclog_obs::Counter,
-    vm_execs: sclog_obs::Counter,
-    matches: sclog_obs::Counter,
-    vm_eligible: sclog_obs::Counter,
-    dfa_execs: sclog_obs::Counter,
-    dfa_bailouts: sclog_obs::Counter,
-    dfa_evictions: sclog_obs::Counter,
-    alerts_in: sclog_obs::Counter,
-    alerts_kept: sclog_obs::Counter,
+struct FilterCounts {
+    alerts_in: Counter,
+    alerts_kept: Counter,
 }
 
-impl SerialMetrics {
+impl FilterCounts {
     fn register(rec: &Recorder) -> Self {
-        SerialMetrics {
-            tag: rec.stage("tag"),
-            lines: rec.counter("tagger.lines"),
-            bytes: rec.counter("tagger.bytes"),
-            gated_out: rec.counter("tagger.prefilter.gated_out"),
-            vm_execs: rec.counter("tagger.prefilter.vm_execs"),
-            matches: rec.counter("tagger.prefilter.matches"),
-            vm_eligible: rec.counter("tagger.vm.eligible"),
-            dfa_execs: rec.counter("tagger.dfa.execs"),
-            dfa_bailouts: rec.counter("tagger.dfa.bailouts"),
-            dfa_evictions: rec.counter("tagger.dfa.cache_evictions"),
+        FilterCounts {
             alerts_in: rec.counter("filter.alerts_in"),
             alerts_kept: rec.counter("filter.alerts_kept"),
         }
-    }
-
-    fn flush(&self, tr: &ThreadRecorder, counts: sclog_rules::TagCounts) {
-        tr.add(self.lines, counts.lines);
-        tr.add(self.bytes, counts.bytes);
-        tr.add(self.gated_out, counts.gated_out);
-        tr.add(self.vm_execs, counts.vm_execs);
-        tr.add(self.matches, counts.matches);
-        tr.add(self.vm_eligible, counts.vm_eligible);
-        tr.add(self.dfa_execs, counts.dfa_execs);
-        tr.add(self.dfa_bailouts, counts.dfa_bailouts);
-        tr.add(self.dfa_evictions, counts.dfa_evictions);
     }
 }
 
@@ -463,61 +483,6 @@ impl InFlightGauge {
     }
 }
 
-/// The single-threaded arm: same chunked traversal, no pool — one
-/// batch is in flight at a time by construction. Everything happens on
-/// one thread, so the report collapses to a single `tag` stage plus
-/// the filter counters.
-fn tag_filter_serial(
-    rules: &RuleSet,
-    messages: &[Message],
-    interner: &SourceInterner,
-    truth: Option<&[Option<FailureId>]>,
-    filter: &SpatioTemporalFilter,
-    chunk: usize,
-    recorder: &Recorder,
-) -> (TaggedLog, Vec<Alert>, PipelineStats) {
-    let metrics = SerialMetrics::register(recorder);
-    let tr = recorder.thread("serial");
-    let mut scratch = TagScratch::new();
-    let mut alerts = Vec::new();
-    let mut filtered = Vec::new();
-    let mut stream = filter.stream();
-    let mut batches = 0u64;
-    let mut peak = 0usize;
-    for (k, msgs) in messages.chunks(chunk).enumerate() {
-        batches += 1;
-        peak = peak.max(msgs.len());
-        let base = k * chunk;
-        let _busy = tr.span(metrics.tag);
-        for (i, msg) in msgs.iter().enumerate() {
-            if let Some(category) = rules.tag_message_with(msg, interner, &mut scratch) {
-                let mut alert = Alert::new(msg.time, msg.source, category, base + i);
-                if let Some(t) = truth {
-                    alert.failure = t[base + i];
-                }
-                if stream.push(&alert) {
-                    filtered.push(alert);
-                }
-                alerts.push(alert);
-            }
-        }
-        let counts = scratch.take_counts();
-        tr.stage_items(metrics.tag, msgs.len() as u64, counts.bytes);
-        metrics.flush(&tr, counts);
-    }
-    tr.add(metrics.alerts_in, stream.pushed());
-    tr.add(metrics.alerts_kept, stream.kept());
-    let stats = PipelineStats {
-        threads: 1,
-        batches,
-        peak_in_flight_batches: 1.min(batches as usize),
-        in_flight_bound_batches: 1,
-        peak_in_flight_messages: peak,
-        in_flight_bound_messages: Some(chunk),
-    };
-    (TaggedLog { alerts }, filtered, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -543,7 +508,7 @@ mod tests {
         r.push(1, 1);
         assert_eq!(r.pop_ready(), Some(1));
         assert_eq!(r.pop_ready(), Some(2));
-        assert!(r.is_drained());
+        assert_eq!(r.pending(), 0);
     }
 
     #[test]
@@ -598,6 +563,7 @@ mod tests {
                 &filter,
                 threads,
                 chunk,
+                &Recorder::disabled(),
             );
             assert_eq!(tagged.alerts, expect.alerts, "t={threads} c={chunk}");
             assert_eq!(filtered, expect_filtered, "t={threads} c={chunk}");
@@ -616,8 +582,16 @@ mod tests {
     fn truthless_stream_leaves_failures_unset() {
         let (log, rules) = fixture();
         let filter = SpatioTemporalFilter::paper();
-        let (tagged, _, _) =
-            tag_filter_stream(&rules, &log.messages, &log.interner, None, &filter, 2, 128);
+        let (tagged, _, _) = tag_filter_stream(
+            &rules,
+            &log.messages,
+            &log.interner,
+            None,
+            &filter,
+            2,
+            128,
+            &Recorder::disabled(),
+        );
         assert!(!tagged.alerts.is_empty());
         assert!(tagged.alerts.iter().all(|a| a.failure.is_none()));
     }
@@ -626,8 +600,16 @@ mod tests {
     fn peak_in_flight_is_bounded_with_tiny_chunks() {
         let (log, rules) = fixture();
         let filter = SpatioTemporalFilter::paper();
-        let (_, _, stats) =
-            tag_filter_stream(&rules, &log.messages, &log.interner, None, &filter, 4, 8);
+        let (_, _, stats) = tag_filter_stream(
+            &rules,
+            &log.messages,
+            &log.interner,
+            None,
+            &filter,
+            4,
+            8,
+            &Recorder::disabled(),
+        );
         // Whole log would be tens of thousands of messages; the bound
         // keeps the pipeline to a handful of 8-message batches.
         let bound = stats.in_flight_bound_messages.unwrap();
@@ -648,6 +630,7 @@ mod tests {
             &filter,
             2,
             64,
+            &Recorder::disabled(),
         );
     }
 }

@@ -1,7 +1,7 @@
 //! Study configuration and execution.
 
 use crate::pipeline::{self, PipelineStats};
-use sclog_filter::{AlertFilter, SpatioTemporalFilter};
+use sclog_filter::SpatioTemporalFilter;
 use sclog_obs::ObsConfig;
 use sclog_rules::RuleSet;
 use sclog_simgen::{GenLog, Scale};
@@ -13,7 +13,7 @@ use sclog_types::{Alert, CategoryRegistry, ObsReport, SystemId, ALL_SYSTEMS};
 /// reproducible; systems are run independently. Execution is the
 /// streaming pipeline ([`crate::pipeline`]): tagging, truth attachment
 /// and filtering proceed over bounded batches, with results identical
-/// to the batch passes at any [`Study::threads`] / [`Study::chunk_size`]
+/// to the serial passes at any [`Study::threads`] / [`Study::chunk_size`]
 /// setting.
 #[derive(Debug, Clone, Copy)]
 pub struct Study {
@@ -133,7 +133,7 @@ impl Study {
         } else {
             Vec::new()
         };
-        let (tagged, filtered, stats) = pipeline::tag_filter_stream_with(
+        let (tagged, filtered, stats) = pipeline::tag_filter_stream(
             &rules,
             &log.messages,
             &log.interner,
@@ -166,38 +166,6 @@ impl Study {
         }
     }
 
-    /// Runs the pipeline as three materialized batch passes — the
-    /// reference implementation the streaming path must match
-    /// bit-for-bit. Kept for equivalence tests and the batch side of
-    /// `pipeline_bench`.
-    pub fn run_system_batch(&self, system: SystemId) -> SystemRun {
-        let log = sclog_simgen::generate_categories(system, self.scale, self.seed, None);
-        let mut registry = CategoryRegistry::new();
-        let rules = RuleSet::builtin(system, &mut registry);
-        let mut tagged =
-            rules.tag_messages_parallel(&log.messages, &log.interner, self.resolved_threads());
-        tagged.attach_truth(&log.truth);
-        let filtered = SpatioTemporalFilter::paper().filter(&tagged.alerts);
-        let n = log.messages.len();
-        let stats = PipelineStats {
-            threads: self.resolved_threads(),
-            batches: 1,
-            peak_in_flight_batches: 1,
-            in_flight_bound_batches: 1,
-            peak_in_flight_messages: n,
-            in_flight_bound_messages: Some(n),
-        };
-        SystemRun {
-            system,
-            log,
-            registry,
-            tagged,
-            filtered,
-            stats,
-            obs: None,
-        }
-    }
-
     /// Runs every system, in the paper's table order.
     pub fn run_all(&self) -> Vec<SystemRun> {
         ALL_SYSTEMS.iter().map(|&s| self.run_system(s)).collect()
@@ -220,7 +188,6 @@ pub struct SystemRun {
     /// What the pipeline observed about its working set.
     pub stats: PipelineStats,
     /// The run report, when the study had [`Study::obs`] turned on.
-    /// `None` for batch-reference runs, which are not instrumented.
     pub obs: Option<ObsReport>,
 }
 
@@ -249,6 +216,7 @@ impl SystemRun {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sclog_filter::AlertFilter;
 
     #[test]
     fn pipeline_produces_consistent_run() {
@@ -317,20 +285,27 @@ mod tests {
         assert!(study.resolved_threads() >= 1, "auto resolves to something");
     }
 
+    /// The serial passes `Study::run` streams: tag everything, attach
+    /// all truth, filter everything.
+    fn serial_reference(run: &SystemRun) -> (Vec<Alert>, Vec<Alert>) {
+        let rules = RuleSet::builtin(run.system, &mut CategoryRegistry::new());
+        let mut tagged = rules.tag_messages(&run.log.messages, &run.log.interner);
+        tagged.attach_truth(&run.log.truth);
+        let filtered = SpatioTemporalFilter::paper().filter(&tagged.alerts);
+        (tagged.alerts, filtered)
+    }
+
     #[test]
     fn streaming_run_matches_batch_reference() {
         let study = Study::new(0.01, 0.0002, 13);
-        let batch = study.run_system_batch(SystemId::Liberty);
         for (threads, chunk) in [(1, 512), (2, 64), (4, 4096)] {
             let run = study
                 .threads(threads)
                 .chunk_size(chunk)
                 .run_system(SystemId::Liberty);
-            assert_eq!(
-                run.tagged.alerts, batch.tagged.alerts,
-                "t={threads} c={chunk}"
-            );
-            assert_eq!(run.filtered, batch.filtered, "t={threads} c={chunk}");
+            let (alerts, filtered) = serial_reference(&run);
+            assert_eq!(run.tagged.alerts, alerts, "t={threads} c={chunk}");
+            assert_eq!(run.filtered, filtered, "t={threads} c={chunk}");
         }
     }
 
@@ -344,8 +319,6 @@ mod tests {
             bound < run.messages(),
             "streaming working set is a fraction of the log"
         );
-        let batch = study.run_system_batch(SystemId::Liberty);
-        assert_eq!(batch.stats.peak_in_flight_messages, batch.messages());
     }
 
     #[test]

@@ -41,9 +41,10 @@ fn recorder_leaves_stream_output_bit_identical() {
                 &filter,
                 threads,
                 chunk,
+                &Recorder::disabled(),
             );
             let recorder = Recorder::new();
-            let (tagged, filtered, stats) = pipeline::tag_filter_stream_with(
+            let (tagged, filtered, stats) = pipeline::tag_filter_stream(
                 &rules,
                 &log.messages,
                 &log.interner,

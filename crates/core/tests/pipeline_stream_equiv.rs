@@ -1,22 +1,24 @@
 //! Property tests: the streaming pipeline is bit-identical to the
-//! batch reference at every thread count and chunk size.
+//! serial reference at every thread count and chunk size.
 //!
 //! Each case generates every system's log once and runs the full
 //! thread×chunk matrix over the same in-memory data (regenerating per
 //! combination would dominate the runtime); `Study::run` itself is
-//! spot-checked against `run_system_batch` on one sampled combination.
+//! spot-checked against the serial passes on one sampled combination.
+//! The thread counts include 3, which splits the pool's work unevenly.
 //! Uses the in-tree `sclog-testkit` harness; set `SCLOG_PROP_CASES` /
 //! `SCLOG_PROP_SEED` to rescale or replay.
 
 use sclog_core::pipeline::{self, IngestConfig};
 use sclog_core::Study;
 use sclog_filter::{AlertFilter, SpatioTemporalFilter};
+use sclog_obs::Recorder;
 use sclog_rules::RuleSet;
 use sclog_simgen::Scale;
 use sclog_testkit::{check_n, Gen};
 use sclog_types::{CategoryRegistry, ALL_SYSTEMS};
 
-const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
+const THREAD_COUNTS: [usize; 4] = [1, 2, 3, 8];
 const CHUNK_SIZES: [usize; 3] = [1, 64, 4096];
 
 /// Property scale: small enough that the biggest systems stay in the
@@ -28,8 +30,8 @@ fn prop_scale() -> Scale {
 
 /// Every system, every thread count, every chunk size: the streaming
 /// tag+filter pipeline (the engine under `Study::run`) equals the
-/// materialized batch passes exactly — tagged alerts, fused truth,
-/// and filtered output.
+/// serial passes (`tag_messages`, `attach_truth`, batch filter)
+/// exactly — tagged alerts, fused truth, and filtered output.
 #[test]
 fn study_streaming_equals_batch_everywhere() {
     check_n("study_streaming_equals_batch", 1, |g| {
@@ -52,6 +54,7 @@ fn study_streaming_equals_batch_everywhere() {
                         &filter,
                         threads,
                         chunk,
+                        &Recorder::disabled(),
                     );
                     let tag = format!("{system:?} seed={seed} t={threads} c={chunk}");
                     assert_eq!(tagged.alerts, expect.alerts, "{tag}");
@@ -70,8 +73,9 @@ fn study_streaming_equals_batch_everywhere() {
     });
 }
 
-/// `Study::run` (streaming) equals `run_system_batch` end to end,
-/// sampling one system and one thread/chunk combination per case.
+/// `Study::run` (streaming) equals the serial passes over the same
+/// generated log end to end, sampling one system and one
+/// thread/chunk combination per case.
 #[test]
 fn study_run_matches_batch_run() {
     check_n("study_run_matches_batch_run", 2, |g| {
@@ -80,11 +84,14 @@ fn study_run_matches_batch_run() {
         let threads = *g.pick(&THREAD_COUNTS);
         let chunk = *g.pick(&CHUNK_SIZES);
         let study = Study::with_scale(prop_scale(), seed);
-        let batch = study.run_system_batch(system);
         let run = study.threads(threads).chunk_size(chunk).run_system(system);
+        let rules = RuleSet::builtin(system, &mut CategoryRegistry::new());
+        let mut expect = rules.tag_messages(&run.log.messages, &run.log.interner);
+        expect.attach_truth(&run.log.truth);
+        let expect_filtered = SpatioTemporalFilter::paper().filter(&expect.alerts);
         let tag = format!("{system:?} seed={seed} t={threads} c={chunk}");
-        assert_eq!(run.tagged.alerts, batch.tagged.alerts, "{tag}");
-        assert_eq!(run.filtered, batch.filtered, "{tag}");
+        assert_eq!(run.tagged.alerts, expect.alerts, "{tag}");
+        assert_eq!(run.filtered, expect_filtered, "{tag}");
         // Refiltering the filtered output changes nothing: the filter
         // is idempotent on what it keeps.
         let again = SpatioTemporalFilter::paper().filter(&run.filtered);
@@ -138,7 +145,7 @@ fn ingest_streaming_equals_batch_everywhere() {
             let text = inject_corruption(g, &clean);
             let mut registry = CategoryRegistry::new();
             let rules = RuleSet::builtin(system, &mut registry);
-            let batch = pipeline::ingest_batch(system, &text, &rules, &filter, 1);
+            let batch = pipeline::ingest_batch(system, &text, &rules, &filter);
             assert!(
                 batch.parse.rejected() > 0 && batch.parse.empty > 0,
                 "{system:?} seed={seed}: corruption must reach the parser: {:?}",

@@ -40,7 +40,7 @@ mod tuple;
 pub use adaptive::AdaptiveFilter;
 pub use metrics::{compare, score, FilterComparison, FilterScore};
 pub use serial::SerialFilter;
-pub use spatio::SpatioTemporalFilter;
+pub use spatio::{SpatioTemporalFilter, SpatioTemporalStream};
 pub use tuple::TupleFilter;
 
 use sclog_types::{Alert, Duration};

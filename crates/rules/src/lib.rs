@@ -52,7 +52,7 @@ pub use dfa::{DfaCache, DfaProgram};
 pub use discover::{mine_templates, Template};
 pub use lang::{Predicate, RuleExpr};
 pub use loader::{export_builtin, parse_ruleset, render_ruleset, LoadError, RuleDef};
-pub use pool::{LineBatch, LineRef, PoolClient, TagPool, TaggedBatch};
+pub use pool::{LineBatch, LineRef, PoolClient, TagJob, TagMetrics, TagPool, TaggedBatch};
 pub use prefilter::AhoCorasick;
 pub use re::{ProgInst, Regex};
 pub use tagger::{RuleSet, TagCounts, TagScratch, TaggedLog};

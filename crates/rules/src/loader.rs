@@ -266,10 +266,10 @@ mod tests {
                     crate::catalog::example_body(spec),
                 );
                 let a = builtin
-                    .tag_message(&msg, &interner)
+                    .tag_message_with(&msg, &interner, &mut crate::TagScratch::new())
                     .map(|c| reg_a.name(c).to_owned());
                 let b = loaded
-                    .tag_message(&msg, &interner)
+                    .tag_message_with(&msg, &interner, &mut crate::TagScratch::new())
                     .map(|c| reg_b.name(c).to_owned());
                 assert_eq!(a, b, "{sys}: {} tags differ", spec.name);
             }

@@ -1,31 +1,30 @@
 //! A persistent scoped worker pool for batched tagging.
 //!
-//! [`RuleSet::tag_messages_parallel`] used to spawn fresh threads for
-//! every call — fine when one call tags a whole log, but fatally
-//! expensive once the prefiltered engine made per-batch work cheap
-//! (`BENCH_tagger.json` showed the 4-thread path *losing* to serial)
-//! and once the streaming pipeline started submitting thousands of
-//! small batches. [`TagPool`] fixes both: workers are spawned once per
-//! [`TagPool::scope`] and then tag any number of batches out of a
-//! shared bounded queue, each with its own long-lived [`TagScratch`].
+//! Workers are spawned once per [`TagPool::scope`] and then tag any
+//! number of batches out of a shared bounded queue, each with its own
+//! long-lived [`TagScratch`], so a stream of thousands of small
+//! batches pays for thread startup once.
 //!
-//! Two batch shapes are supported, matching the two pipeline sources:
+//! A batch is a [`TagJob`], one of the two pipeline sources:
 //!
-//! * **Message batches** ([`PoolClient::submit_messages`]) — borrowed
-//!   slices of an in-memory log, rendered and tagged exactly as
-//!   [`RuleSet::tag_messages`] would, optionally fusing ground-truth
-//!   attachment into the tag loop.
-//! * **Line batches** ([`PoolClient::submit_lines`]) — owned text
-//!   chunks from a streaming reader, tagged on the *raw line*. This is
-//!   the paper-faithful path (the experts' awk rules ran on raw log
-//!   lines) and skips re-rendering parsed messages back to text, which
-//!   is most of the batch tagging cost.
+//! * **Messages** — a borrowed slice of an in-memory log, rendered and
+//!   tagged exactly as [`RuleSet::tag_messages`] would, optionally
+//!   fusing ground-truth attachment into the tag loop.
+//! * **Lines** — an owned [`LineBatch`] of text from a streaming
+//!   reader, tagged on the *raw line*. This is the paper-faithful path
+//!   (the experts' awk rules ran on raw log lines) and skips
+//!   re-rendering parsed messages back to text, which is most of the
+//!   batch tagging cost.
+//!
+//! [`TagMetrics::run`] is the one place a job is tagged and its
+//! prefilter tallies recorded: the pool's workers call it, and so does
+//! the streaming pipeline's single-threaded arm.
 //!
 //! The job queue is bounded: submitting into a full pool blocks, which
 //! is the backpressure that keeps a fast producer from buffering an
 //! unbounded amount of in-flight text.
 
-use crate::tagger::{RuleSet, TagScratch};
+use crate::tagger::{RuleSet, TagCounts, TagScratch};
 use sclog_obs::{Counter, Recorder, Stage, ThreadRecorder};
 use sclog_sync::{thread, Condvar, Mutex};
 use sclog_types::{Alert, FailureId, Message, NodeId, SourceInterner, Timestamp};
@@ -73,24 +72,152 @@ pub struct TaggedBatch {
     pub alerts: Vec<Alert>,
 }
 
-enum Job<'env> {
+/// One batch of tagging work.
+#[derive(Debug)]
+pub enum TagJob<'env> {
+    /// A borrowed message slice, rendered and tagged.
     Messages {
-        seq: u64,
+        /// Global index of `msgs[0]`.
         base: usize,
+        /// The messages.
         msgs: &'env [Message],
+        /// The interner naming the messages' sources.
         interner: &'env SourceInterner,
         /// Ground truth aligned with `msgs` (so `truth[i]` belongs to
         /// message `base + i`); fused into the tag loop when present.
         truth: Option<&'env [Option<FailureId>]>,
     },
-    Lines {
-        seq: u64,
-        batch: LineBatch,
-    },
+    /// An owned text chunk, tagged on its raw lines.
+    Lines(LineBatch),
+}
+
+impl TagJob<'_> {
+    /// Number of messages or lines the job carries.
+    pub fn len(&self) -> usize {
+        match self {
+            TagJob::Messages { msgs, .. } => msgs.len(),
+            TagJob::Lines(batch) => batch.lines.len(),
+        }
+    }
+
+    /// True if the job carries nothing to tag.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Tags the job with `scratch`, returning its alerts in batch
+    /// order with global message indices (and truth attached, for a
+    /// message job that carries it).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a message job's `truth` does not align with `msgs`.
+    fn run(self, rules: &RuleSet, scratch: &mut TagScratch) -> Vec<Alert> {
+        let mut alerts = Vec::new();
+        match self {
+            TagJob::Messages {
+                base,
+                msgs,
+                interner,
+                truth,
+            } => {
+                if let Some(t) = truth {
+                    assert_eq!(t.len(), msgs.len(), "truth must align with messages");
+                }
+                for (i, msg) in msgs.iter().enumerate() {
+                    if let Some(category) = rules.tag_message_with(msg, interner, scratch) {
+                        let mut alert = Alert::new(msg.time, msg.source, category, base + i);
+                        if let Some(truth) = truth {
+                            alert.failure = truth[i];
+                        }
+                        alerts.push(alert);
+                    }
+                }
+            }
+            TagJob::Lines(batch) => {
+                for line in &batch.lines {
+                    let raw = &batch.text[line.start..line.end];
+                    if let Some(category) = rules.tag_line_with(raw, scratch) {
+                        alerts.push(Alert::new(line.time, line.source, category, line.index));
+                    }
+                }
+            }
+        }
+        alerts
+    }
+}
+
+/// The `tag` stage and the tagger's prefilter-effectiveness counters
+/// ([`TagCounts`]), registered once per run.
+#[derive(Debug, Clone, Copy)]
+pub struct TagMetrics {
+    stage: Stage,
+    lines: Counter,
+    bytes: Counter,
+    gated_out: Counter,
+    vm_execs: Counter,
+    matches: Counter,
+    vm_eligible: Counter,
+    dfa_execs: Counter,
+    dfa_bailouts: Counter,
+    dfa_evictions: Counter,
+}
+
+impl TagMetrics {
+    /// Registers the stage and counters; call before any thread shard
+    /// seals the recorder.
+    pub fn register(rec: &Recorder) -> Self {
+        TagMetrics {
+            stage: rec.stage("tag"),
+            lines: rec.counter("tagger.lines"),
+            bytes: rec.counter("tagger.bytes"),
+            gated_out: rec.counter("tagger.prefilter.gated_out"),
+            vm_execs: rec.counter("tagger.prefilter.vm_execs"),
+            matches: rec.counter("tagger.prefilter.matches"),
+            vm_eligible: rec.counter("tagger.vm.eligible"),
+            dfa_execs: rec.counter("tagger.dfa.execs"),
+            dfa_bailouts: rec.counter("tagger.dfa.bailouts"),
+            dfa_evictions: rec.counter("tagger.dfa.cache_evictions"),
+        }
+    }
+
+    /// Tags one job on the calling thread under a busy span of the
+    /// `tag` stage, then flushes the scratch's tallies into `tr`. The
+    /// tallies stay plain `u64`s in the scratch during the batch, so
+    /// an enabled recorder adds no per-line cost to the tag loop.
+    pub fn run(
+        &self,
+        tr: &ThreadRecorder,
+        rules: &RuleSet,
+        scratch: &mut TagScratch,
+        job: TagJob<'_>,
+    ) -> Vec<Alert> {
+        let len = job.len();
+        let alerts = {
+            let _busy = tr.span(self.stage);
+            job.run(rules, scratch)
+        };
+        let counts = scratch.take_counts();
+        tr.stage_items(self.stage, len as u64, counts.bytes);
+        self.flush(tr, counts);
+        alerts
+    }
+
+    fn flush(&self, tr: &ThreadRecorder, counts: TagCounts) {
+        tr.add(self.lines, counts.lines);
+        tr.add(self.bytes, counts.bytes);
+        tr.add(self.gated_out, counts.gated_out);
+        tr.add(self.vm_execs, counts.vm_execs);
+        tr.add(self.matches, counts.matches);
+        tr.add(self.vm_eligible, counts.vm_eligible);
+        tr.add(self.dfa_execs, counts.dfa_execs);
+        tr.add(self.dfa_bailouts, counts.dfa_bailouts);
+        tr.add(self.dfa_evictions, counts.dfa_evictions);
+    }
 }
 
 struct PoolState<'env> {
-    jobs: VecDeque<Job<'env>>,
+    jobs: VecDeque<(u64, TagJob<'env>)>,
     results: VecDeque<TaggedBatch>,
     next_seq: u64,
     delivered: u64,
@@ -144,6 +271,10 @@ impl TagPool {
     /// queue (bounded at `job_cap`, with submission blocking while
     /// full) and handed back as [`TaggedBatch`]es in completion order.
     ///
+    /// Each worker records its jobs, busy/queue-wait time and the
+    /// prefilter tallies ([`TagMetrics`]) under a `tagger/{i}` thread
+    /// label; pass [`Recorder::disabled`] to record nothing.
+    ///
     /// When `f` returns, the pool drains remaining jobs and joins its
     /// workers; results not collected by then are dropped.
     ///
@@ -155,29 +286,6 @@ impl TagPool {
         rules: &'env RuleSet,
         threads: usize,
         job_cap: usize,
-        f: impl FnOnce(&PoolClient<'_, 'env>) -> R,
-    ) -> R {
-        Self::scope_with(rules, threads, job_cap, &Recorder::disabled(), f)
-    }
-
-    /// [`TagPool::scope`] with an observability recorder: each worker
-    /// records its jobs, busy/queue-wait time and the prefilter
-    /// effectiveness tallies ([`crate::TagCounts`]) against the `tag`
-    /// stage, under a `tagger/{i}` thread label. Tallies stay plain
-    /// `u64`s inside the per-worker [`TagScratch`] during a batch and
-    /// are flushed to the recorder shard once per job, so an enabled
-    /// recorder adds no per-line cost to the tag loop; a disabled one
-    /// ([`Recorder::disabled`]) makes this identical to
-    /// [`TagPool::scope`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` or `job_cap` is zero, or if a worker thread
-    /// panics (a rule engine bug).
-    pub fn scope_with<'env, R>(
-        rules: &'env RuleSet,
-        threads: usize,
-        job_cap: usize,
         recorder: &Recorder,
         f: impl FnOnce(&PoolClient<'_, 'env>) -> R,
     ) -> R {
@@ -185,7 +293,7 @@ impl TagPool {
         assert!(job_cap > 0, "job queue capacity must be positive");
         // Register every metric before the workers spawn — the first
         // per-thread shard seals the recorder's registry.
-        let metrics = PoolMetrics::register(recorder);
+        let metrics = TagMetrics::register(recorder);
         let shared = PoolShared {
             state: Mutex::new(PoolState {
                 jobs: VecDeque::new(),
@@ -225,45 +333,14 @@ impl TagPool {
 }
 
 impl<'env> PoolClient<'_, 'env> {
-    /// Submits a borrowed message slice for render-and-tag processing;
-    /// `base` is the global index of `msgs[0]`, and `truth`, when
-    /// given, must align with `msgs`. Blocks while the job queue is
-    /// full. Returns the batch's sequence number.
+    /// Submits a job. Blocks while the job queue is full. Returns the
+    /// batch's sequence number.
     ///
     /// # Panics
     ///
-    /// Panics if `truth` is present but its length differs from
-    /// `msgs`, or if called after [`PoolClient::close`].
-    pub fn submit_messages(
-        &self,
-        base: usize,
-        msgs: &'env [Message],
-        interner: &'env SourceInterner,
-        truth: Option<&'env [Option<FailureId>]>,
-    ) -> u64 {
-        if let Some(t) = truth {
-            assert_eq!(t.len(), msgs.len(), "truth must align with messages");
-        }
-        self.submit_with(|seq| Job::Messages {
-            seq,
-            base,
-            msgs,
-            interner,
-            truth,
-        })
-    }
-
-    /// Submits an owned line batch for raw-line tagging. Blocks while
-    /// the job queue is full. Returns the batch's sequence number.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called after [`PoolClient::close`].
-    pub fn submit_lines(&self, batch: LineBatch) -> u64 {
-        self.submit_with(|seq| Job::Lines { seq, batch })
-    }
-
-    fn submit_with(&self, job: impl FnOnce(u64) -> Job<'env>) -> u64 {
+    /// Panics if called after [`PoolClient::close`], or if a worker
+    /// has died.
+    pub fn submit(&self, job: TagJob<'env>) -> u64 {
         let mut state = self.shared.lock();
         while state.jobs.len() >= self.shared.job_cap {
             assert!(!state.aborted, "tag pool aborted: a worker died");
@@ -277,7 +354,7 @@ impl<'env> PoolClient<'_, 'env> {
         assert!(!state.closed, "submit after close");
         let seq = state.next_seq;
         state.next_seq += 1;
-        state.jobs.push_back(job(seq));
+        state.jobs.push_back((seq, job));
         drop(state);
         self.shared.job_ready.notify_one();
         seq
@@ -311,17 +388,6 @@ impl<'env> PoolClient<'_, 'env> {
                 .wait(state)
                 .unwrap_or_else(sclog_sync::PoisonError::into_inner);
         }
-    }
-
-    /// Receives a completed batch if one is ready, without blocking —
-    /// lets a submitting loop drain results opportunistically.
-    pub fn try_recv(&self) -> Option<TaggedBatch> {
-        let mut state = self.shared.lock();
-        let r = state.results.pop_front();
-        if r.is_some() {
-            state.delivered += 1;
-        }
-        r
     }
 
     /// Marks the job stream finished: workers exit once the queue
@@ -386,57 +452,12 @@ impl Drop for AbortOnPanic<'_, '_> {
     }
 }
 
-/// Metric handles a pool registers up front and hands to each worker.
-#[derive(Debug, Clone, Copy)]
-struct PoolMetrics {
-    stage: Stage,
-    lines: Counter,
-    bytes: Counter,
-    gated_out: Counter,
-    vm_execs: Counter,
-    matches: Counter,
-    vm_eligible: Counter,
-    dfa_execs: Counter,
-    dfa_bailouts: Counter,
-    dfa_evictions: Counter,
-}
-
-impl PoolMetrics {
-    fn register(rec: &Recorder) -> Self {
-        PoolMetrics {
-            stage: rec.stage("tag"),
-            lines: rec.counter("tagger.lines"),
-            bytes: rec.counter("tagger.bytes"),
-            gated_out: rec.counter("tagger.prefilter.gated_out"),
-            vm_execs: rec.counter("tagger.prefilter.vm_execs"),
-            matches: rec.counter("tagger.prefilter.matches"),
-            vm_eligible: rec.counter("tagger.vm.eligible"),
-            dfa_execs: rec.counter("tagger.dfa.execs"),
-            dfa_bailouts: rec.counter("tagger.dfa.bailouts"),
-            dfa_evictions: rec.counter("tagger.dfa.cache_evictions"),
-        }
-    }
-
-    /// Flushes one batch's scratch tallies into the worker's shard.
-    fn flush(&self, tr: &ThreadRecorder, counts: crate::TagCounts) {
-        tr.add(self.lines, counts.lines);
-        tr.add(self.bytes, counts.bytes);
-        tr.add(self.gated_out, counts.gated_out);
-        tr.add(self.vm_execs, counts.vm_execs);
-        tr.add(self.matches, counts.matches);
-        tr.add(self.vm_eligible, counts.vm_eligible);
-        tr.add(self.dfa_execs, counts.dfa_execs);
-        tr.add(self.dfa_bailouts, counts.dfa_bailouts);
-        tr.add(self.dfa_evictions, counts.dfa_evictions);
-    }
-}
-
 /// Report label for worker `i`.
 fn worker_label(i: usize) -> String {
     format!("tagger/{i}")
 }
 
-fn worker(shared: &PoolShared<'_>, rules: &RuleSet, tr: ThreadRecorder, metrics: PoolMetrics) {
+fn worker(shared: &PoolShared<'_>, rules: &RuleSet, tr: ThreadRecorder, metrics: TagMetrics) {
     let _abort = AbortOnPanic(shared);
     let mut scratch = TagScratch::new();
     loop {
@@ -465,13 +486,10 @@ fn worker(shared: &PoolShared<'_>, rules: &RuleSet, tr: ThreadRecorder, metrics:
             shared.job_space.notify_one();
             job
         };
-        let result = {
-            let _busy = tr.span(metrics.stage);
-            run_job(rules, &mut scratch, job)
-        };
-        let counts = scratch.take_counts();
-        tr.stage_items(metrics.stage, result.len as u64, counts.bytes);
-        metrics.flush(&tr, counts);
+        let (seq, job) = job;
+        let len = job.len();
+        let alerts = metrics.run(&tr, rules, &mut scratch, job);
+        let result = TaggedBatch { seq, len, alerts };
         {
             // Delivering the result contends on the same pool lock the
             // consumer drains — queue wait, not tagging work.
@@ -484,52 +502,19 @@ fn worker(shared: &PoolShared<'_>, rules: &RuleSet, tr: ThreadRecorder, metrics:
     }
 }
 
-fn run_job(rules: &RuleSet, scratch: &mut TagScratch, job: Job<'_>) -> TaggedBatch {
-    match job {
-        Job::Messages {
-            seq,
-            base,
-            msgs,
-            interner,
-            truth,
-        } => {
-            let mut alerts = Vec::new();
-            for (i, msg) in msgs.iter().enumerate() {
-                if let Some(category) = rules.tag_message_with(msg, interner, scratch) {
-                    let mut alert = Alert::new(msg.time, msg.source, category, base + i);
-                    if let Some(truth) = truth {
-                        alert.failure = truth[i];
-                    }
-                    alerts.push(alert);
-                }
-            }
-            TaggedBatch {
-                seq,
-                len: msgs.len(),
-                alerts,
-            }
-        }
-        Job::Lines { seq, batch } => {
-            let mut alerts = Vec::new();
-            for line in &batch.lines {
-                let raw = &batch.text[line.start..line.end];
-                if let Some(category) = rules.tag_line_with(raw, scratch) {
-                    alerts.push(Alert::new(line.time, line.source, category, line.index));
-                }
-            }
-            TaggedBatch {
-                seq,
-                len: batch.lines.len(),
-                alerts,
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sclog_types::{CategoryRegistry, Severity, SystemId};
+
+    fn job<'a>(base: usize, msgs: &'a [Message], interner: &'a SourceInterner) -> TagJob<'a> {
+        TagJob::Messages {
+            base,
+            msgs,
+            interner,
+            truth: None,
+        }
+    }
 
     fn liberty_fixture() -> (RuleSet, SourceInterner, Vec<Message>) {
         let mut registry = CategoryRegistry::new();
@@ -561,20 +546,12 @@ mod tests {
         let (rules, interner, msgs) = liberty_fixture();
         let serial = rules.tag_messages(&msgs, &interner);
         // Force a real multi-worker pool regardless of host CPU count.
-        let mut batches = TagPool::scope(&rules, 3, 2, |pool| {
-            let mut out = Vec::new();
-            let mut submitted = 0usize;
+        let mut batches = TagPool::scope(&rules, 3, 2, &Recorder::disabled(), |pool| {
             for (k, chunk) in msgs.chunks(64).enumerate() {
-                pool.submit_messages(k * 64, chunk, &interner, None);
-                submitted += 1;
-                while let Some(b) = pool.try_recv() {
-                    out.push(b);
-                }
+                pool.submit(job(k * 64, chunk, &interner));
             }
-            while out.len() < submitted {
-                out.push(pool.recv().expect("all batches deliverable"));
-            }
-            out
+            pool.close();
+            std::iter::from_fn(|| pool.recv()).collect::<Vec<_>>()
         });
         batches.sort_by_key(|b| b.seq);
         let merged: Vec<Alert> = batches.into_iter().flat_map(|b| b.alerts).collect();
@@ -587,8 +564,13 @@ mod tests {
         let truth: Vec<Option<FailureId>> = (0..msgs.len() as u64)
             .map(|i| (i % 5 == 0).then_some(FailureId(i)))
             .collect();
-        let alerts = TagPool::scope(&rules, 2, 4, |pool| {
-            pool.submit_messages(0, &msgs, &interner, Some(&truth));
+        let alerts = TagPool::scope(&rules, 2, 4, &Recorder::disabled(), |pool| {
+            pool.submit(TagJob::Messages {
+                base: 0,
+                msgs: &msgs,
+                interner: &interner,
+                truth: Some(&truth),
+            });
             pool.recv().expect("one batch").alerts
         });
         assert!(!alerts.is_empty());
@@ -615,8 +597,8 @@ mod tests {
                 source: NodeId::from_index(3),
             });
         }
-        let batch = TagPool::scope(&rules, 2, 2, |pool| {
-            pool.submit_lines(LineBatch { text, lines });
+        let batch = TagPool::scope(&rules, 2, 2, &Recorder::disabled(), |pool| {
+            pool.submit(TagJob::Lines(LineBatch { text, lines }));
             pool.recv().expect("one batch")
         });
         assert_eq!(batch.len, 2);
@@ -628,8 +610,8 @@ mod tests {
     #[test]
     fn recv_returns_none_after_close_and_drain() {
         let (rules, interner, msgs) = liberty_fixture();
-        TagPool::scope(&rules, 2, 2, |pool| {
-            pool.submit_messages(0, &msgs[..10], &interner, None);
+        TagPool::scope(&rules, 2, 2, &Recorder::disabled(), |pool| {
+            pool.submit(job(0, &msgs[..10], &interner));
             pool.close();
             assert!(pool.recv().is_some());
             assert!(pool.recv().is_none());
@@ -641,7 +623,7 @@ mod tests {
     fn consumer_on_other_thread_sees_all_batches() {
         let (rules, interner, msgs) = liberty_fixture();
         let n_batches = 10;
-        let total = TagPool::scope(&rules, 2, 2, |pool| {
+        let total = TagPool::scope(&rules, 2, 2, &Recorder::disabled(), |pool| {
             std::thread::scope(|s| {
                 let consumer = s.spawn(|| {
                     let mut seen = 0u64;
@@ -651,7 +633,7 @@ mod tests {
                     seen
                 });
                 for (k, chunk) in msgs.chunks(msgs.len() / n_batches).enumerate() {
-                    pool.submit_messages(k, chunk, &interner, None);
+                    pool.submit(job(k, chunk, &interner));
                 }
                 pool.close();
                 consumer.join().expect("consumer")
@@ -663,9 +645,9 @@ mod tests {
     #[test]
     fn seq_numbers_follow_submission_order() {
         let (rules, interner, msgs) = liberty_fixture();
-        TagPool::scope(&rules, 4, 8, |pool| {
+        TagPool::scope(&rules, 4, 8, &Recorder::disabled(), |pool| {
             for (k, chunk) in msgs.chunks(100).enumerate() {
-                let seq = pool.submit_messages(k * 100, chunk, &interner, None);
+                let seq = pool.submit(job(k * 100, chunk, &interner));
                 assert_eq!(seq, k as u64);
             }
         });
@@ -676,7 +658,7 @@ mod tests {
     fn zero_threads_rejected() {
         let mut registry = CategoryRegistry::new();
         let rules = RuleSet::builtin(SystemId::Liberty, &mut registry);
-        TagPool::scope(&rules, 0, 1, |_| ());
+        TagPool::scope(&rules, 0, 1, &Recorder::disabled(), |_| ());
     }
 
     #[test]
@@ -684,16 +666,16 @@ mod tests {
     fn zero_cap_rejected() {
         let mut registry = CategoryRegistry::new();
         let rules = RuleSet::builtin(SystemId::Liberty, &mut registry);
-        TagPool::scope(&rules, 1, 0, |_| ());
+        TagPool::scope(&rules, 1, 0, &Recorder::disabled(), |_| ());
     }
 
     #[test]
     fn scope_with_records_tag_stage_and_prefilter_counters() {
         let (rules, interner, msgs) = liberty_fixture();
         let rec = Recorder::new();
-        TagPool::scope_with(&rules, 2, 4, &rec, |pool| {
+        TagPool::scope(&rules, 2, 4, &rec, |pool| {
             for (k, chunk) in msgs.chunks(100).enumerate() {
-                pool.submit_messages(k * 100, chunk, &interner, None);
+                pool.submit(job(k * 100, chunk, &interner));
             }
             pool.close();
             while pool.recv().is_some() {}
@@ -719,7 +701,7 @@ mod tests {
     }
 
     /// A batch that panics the worker claiming it: the line span
-    /// points past the end of the text, so the slice in `run_job`
+    /// points past the end of the text, so the slice in `TagJob::run`
     /// blows up — the closest thing to a rule-engine bug we can
     /// inject from outside the crate's internals.
     fn poison_batch() -> LineBatch {
@@ -745,7 +727,7 @@ mod tests {
         let observed = std::sync::Arc::new(std::sync::Mutex::new(None::<u64>));
         let obs = std::sync::Arc::clone(&observed);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            TagPool::scope(&rules, 2, 2, |pool| {
+            TagPool::scope(&rules, 2, 2, &Recorder::disabled(), |pool| {
                 std::thread::scope(|s| {
                     let consumer = s.spawn(|| {
                         let mut seen = 0u64;
@@ -754,7 +736,7 @@ mod tests {
                         }
                         seen
                     });
-                    pool.submit_lines(poison_batch());
+                    pool.submit(TagJob::Lines(poison_batch()));
                     // No close() here: only the abort path can end the
                     // consumer's stream.
                     let seen = consumer.join().expect("consumer survives");
@@ -777,8 +759,8 @@ mod tests {
         // loudly, not sleep through the abort.
         let (rules, _, _) = liberty_fixture();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            TagPool::scope(&rules, 1, 1, |pool| loop {
-                pool.submit_lines(poison_batch());
+            TagPool::scope(&rules, 1, 1, &Recorder::disabled(), |pool| loop {
+                pool.submit(TagJob::Lines(poison_batch()));
             })
         }));
         let panic = outcome.expect_err("submitting into a dead pool fails");
@@ -798,7 +780,7 @@ mod tests {
     fn debug_impl() {
         let mut registry = CategoryRegistry::new();
         let rules = RuleSet::builtin(SystemId::Liberty, &mut registry);
-        TagPool::scope(&rules, 1, 1, |pool| {
+        TagPool::scope(&rules, 1, 1, &Recorder::disabled(), |pool| {
             assert!(format!("{pool:?}").contains("job_cap"));
         });
     }

@@ -16,8 +16,7 @@
 //! * **Scratch reuse.** [`TagScratch`] owns the rendered-line buffer,
 //!   the field spans, and the candidate bitset, so the per-message
 //!   loop ([`RuleSet::tag_message_with`]) performs no per-line
-//!   allocation. [`RuleSet::tag_messages_parallel`] threads one
-//!   scratch per worker.
+//!   allocation. [`crate::TagPool`] keeps one scratch per worker.
 
 use crate::catalog::{catalog, CategorySpec};
 use crate::dfa::{DfaCache, DfaProgram};
@@ -225,13 +224,13 @@ impl TagCounts {
 /// # Examples
 ///
 /// ```
-/// use sclog_rules::RuleSet;
+/// use sclog_rules::{RuleSet, TagScratch};
 /// use sclog_types::{CategoryRegistry, SystemId};
 ///
 /// let mut registry = CategoryRegistry::new();
 /// let rules = RuleSet::builtin(SystemId::Liberty, &mut registry);
 /// let line = "Mar  7 14:30:05 dn228 pbs_mom: task_check, cannot tm_reply to 4418 task 1";
-/// let cat = rules.tag_line(line).expect("should tag");
+/// let cat = rules.tag_line_with(line, &mut TagScratch::new()).expect("should tag");
 /// assert_eq!(registry.name(cat), "PBS_CHK");
 /// ```
 #[derive(Debug)]
@@ -366,15 +365,6 @@ impl RuleSet {
     /// True if the ruleset has no rules.
     pub fn is_empty(&self) -> bool {
         self.rules.is_empty()
-    }
-
-    /// Tags one rendered log line, returning the first matching rule's
-    /// category.
-    ///
-    /// Allocating convenience wrapper over [`RuleSet::tag_line_with`];
-    /// loops should hold one [`TagScratch`] and use that instead.
-    pub fn tag_line(&self, line: &str) -> Option<CategoryId> {
-        self.tag_line_with(line, &mut TagScratch::new())
     }
 
     /// Tags one rendered log line using caller-owned scratch buffers:
@@ -541,14 +531,6 @@ impl RuleSet {
         }
     }
 
-    /// Tags a message by rendering it in its native format first.
-    ///
-    /// Allocating convenience wrapper over
-    /// [`RuleSet::tag_message_with`].
-    pub fn tag_message(&self, msg: &Message, interner: &SourceInterner) -> Option<CategoryId> {
-        self.tag_message_with(msg, interner, &mut TagScratch::new())
-    }
-
     /// Tags a message using caller-owned scratch: the native line is
     /// rendered into the scratch's reused buffer, then tagged through
     /// the prescan. The per-message loop built on this is
@@ -604,127 +586,6 @@ impl RuleSet {
         }
         TaggedLog { alerts }
     }
-
-    /// Tags every message using `threads` workers from a [`TagPool`]
-    /// (order of the result is preserved). Falls back to the serial
-    /// loop when parallelism cannot pay for itself — a single thread
-    /// requested, a sub-threshold workload, or a single-CPU host —
-    /// because the prefiltered engine made per-message work cheap
-    /// enough that thread startup used to *lose* to serial on small
-    /// batches (see `BENCH_tagger.json` history).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    ///
-    /// [`TagPool`]: crate::pool::TagPool
-    pub fn tag_messages_parallel(
-        &self,
-        messages: &[Message],
-        interner: &SourceInterner,
-        threads: usize,
-    ) -> TaggedLog {
-        assert!(threads > 0, "need at least one thread");
-        if !parallel_worthwhile(threads, messages.len()) {
-            return self.tag_messages(messages, interner);
-        }
-        crate::pool::TagPool::scope(
-            self,
-            threads,
-            threads * crate::pool::JOBS_PER_WORKER,
-            |pool| {
-                // Several chunks per worker so a lucky all-background
-                // chunk does not leave its worker idle at the tail.
-                let chunk = messages
-                    .len()
-                    .div_ceil(threads * 4)
-                    .max(PARALLEL_MIN_MESSAGES / 4);
-                for (k, msgs) in messages.chunks(chunk).enumerate() {
-                    pool.submit_messages(k * chunk, msgs, interner, None);
-                }
-                pool.close();
-                let mut batches: Vec<_> = std::iter::from_fn(|| pool.recv()).collect();
-                batches.sort_by_key(|b| b.seq);
-                TaggedLog {
-                    alerts: batches.into_iter().flat_map(|b| b.alerts).collect(),
-                }
-            },
-        )
-    }
-
-    /// Parallel twin of [`RuleSet::tag_messages_unfiltered`], for the
-    /// prefilter-off arm of the benchmark matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn tag_messages_parallel_unfiltered(
-        &self,
-        messages: &[Message],
-        interner: &SourceInterner,
-        threads: usize,
-    ) -> TaggedLog {
-        assert!(threads > 0, "need at least one thread");
-        if !parallel_worthwhile(threads, messages.len()) {
-            return self.tag_messages_unfiltered(messages, interner);
-        }
-        self.tag_chunked(messages, threads, |msgs, base| {
-            let mut out = Vec::new();
-            for (i, msg) in msgs.iter().enumerate() {
-                let line = render_native(msg, interner);
-                if let Some(category) = self.tag_line_unfiltered(&line) {
-                    out.push(Alert::new(msg.time, msg.source, category, base + i));
-                }
-            }
-            out
-        })
-    }
-
-    /// Splits `messages` into `threads` balanced chunks (sizes differ
-    /// by at most one, so no worker idles while another carries a
-    /// double share — the old `div_ceil` split could hand the last
-    /// workers short or empty chunks) and runs `work` on each in a
-    /// scoped thread.
-    fn tag_chunked<F>(&self, messages: &[Message], threads: usize, work: F) -> TaggedLog
-    where
-        F: Fn(&[Message], usize) -> Vec<Alert> + Sync,
-    {
-        let base_len = messages.len() / threads;
-        let extra = messages.len() % threads;
-        let mut partials: Vec<Vec<Alert>> = Vec::new();
-        std::thread::scope(|scope| {
-            let work = &work;
-            let mut start = 0;
-            let handles: Vec<_> = (0..threads)
-                .map(|k| {
-                    let size = base_len + usize::from(k < extra);
-                    let base = start;
-                    start += size;
-                    let msgs = &messages[base..base + size];
-                    scope.spawn(move || work(msgs, base))
-                })
-                .collect();
-            for h in handles {
-                partials.push(h.join().expect("tagger thread panicked"));
-            }
-        });
-        TaggedLog {
-            alerts: partials.concat(),
-        }
-    }
-}
-
-/// Below this many messages, splitting across threads costs more than
-/// it saves.
-const PARALLEL_MIN_MESSAGES: usize = 4096;
-
-/// Whether fanning a batch of `len` messages out to `threads` workers
-/// can beat the serial loop: more than one thread requested, enough
-/// work to amortize handoff, and more than one CPU to run on.
-fn parallel_worthwhile(threads: usize, len: usize) -> bool {
-    threads > 1
-        && len >= PARALLEL_MIN_MESSAGES
-        && std::thread::available_parallelism().map_or(1, |n| n.get()) > 1
 }
 
 /// The output of tagging: the alert sequence in message order.
@@ -792,7 +653,7 @@ mod tests {
                 severity,
                 example_body(spec),
             );
-            let tagged = rules.tag_message(&msg, &interner);
+            let tagged = rules.tag_message_with(&msg, &interner, &mut TagScratch::new());
             let got = tagged.map(|c| registry.name(c).to_owned());
             assert_eq!(
                 got.as_deref(),
@@ -831,7 +692,11 @@ mod tests {
                 Severity::None,
                 body,
             );
-            assert_eq!(rules.tag_message(&msg, &interner), None, "{body}");
+            assert_eq!(
+                rules.tag_message_with(&msg, &interner, &mut TagScratch::new()),
+                None,
+                "{body}"
+            );
         }
     }
 
@@ -867,34 +732,6 @@ mod tests {
         assert_eq!(registry.name(tagged.alerts[1].category), "PBS_BFD");
         let counts = tagged.counts_by_category();
         assert_eq!(counts.len(), 2);
-    }
-
-    #[test]
-    fn parallel_tagging_matches_serial() {
-        let mut registry = CategoryRegistry::new();
-        let rules = RuleSet::builtin(SystemId::Liberty, &mut registry);
-        let mut interner = SourceInterner::new();
-        let source = interner.intern("ln1");
-        let msgs: Vec<Message> = (0..10_000)
-            .map(|i| {
-                let body = if i % 3 == 0 {
-                    "task_check, cannot tm_reply to 9 task 1"
-                } else {
-                    "nothing to see"
-                };
-                Message::new(
-                    SystemId::Liberty,
-                    Timestamp::from_secs(1_102_809_600 + i),
-                    source,
-                    "pbs_mom",
-                    Severity::None,
-                    body,
-                )
-            })
-            .collect();
-        let serial = rules.tag_messages(&msgs, &interner);
-        let parallel = rules.tag_messages_parallel(&msgs, &interner, 4);
-        assert_eq!(serial.alerts, parallel.alerts);
     }
 
     #[test]

@@ -235,7 +235,7 @@ mod tests {
 Mar  7 07:30:00 sn373 pbs_mom: task_check, cannot tm_reply to 10 task 1\n\
 Mar  7 07:40:00 sn373 pbs_mom: task_check, cannot tm_reply to 11 task 1\n\
 Mar  7 07:50:00 dn228 pbs_mom: task_check, cannot tm_reply to 12 task 1\n";
-        let result = ingest_batch(SystemId::Liberty, text, &rules, &filter, 1);
+        let result = ingest_batch(SystemId::Liberty, text, &rules, &filter);
         let store = AlertStore::new();
         store.ingest(SystemId::Liberty, &result, &registry, &[]);
         (store, registry, result)

@@ -501,7 +501,7 @@ mod tests {
 Mar  7 07:30:00 sn373 pbs_mom: task_check, cannot tm_reply to 10 task 1\n\
 Mar  7 07:30:01 sn373 pbs_mom: task_check, cannot tm_reply to 11 task 1\n\
 Mar  7 09:00:00 dn228 pbs_mom: task_check, cannot tm_reply to 12 task 1\n";
-        let result = ingest_batch(SystemId::Liberty, text, &rules, &filter, 1);
+        let result = ingest_batch(SystemId::Liberty, text, &rules, &filter);
         (result, registry)
     }
 
@@ -607,7 +607,7 @@ Mar  7 09:00:00 dn228 pbs_mom: task_check, cannot tm_reply to 12 task 1\n";
             let log = sclog_simgen::generate(system, sclog_simgen::Scale::new(0.0005, 0.0001), 5);
             let mut registry = CategoryRegistry::new();
             let rules = RuleSet::builtin(system, &mut registry);
-            let result = ingest_batch(system, &log.render(), &rules, &filter, 1);
+            let result = ingest_batch(system, &log.render(), &rules, &filter);
             assert!(
                 !result.filtered.is_empty(),
                 "{system:?} fixture has survivors"

@@ -139,7 +139,7 @@ fn dense_fold_matches_hashmap_reference() {
         let log = generate(system, scale, 11);
         let mut registry = CategoryRegistry::new();
         let rules = RuleSet::builtin(system, &mut registry);
-        let mut result = ingest_batch(system, &log.render(), &rules, &filter, 1);
+        let mut result = ingest_batch(system, &log.render(), &rules, &filter);
         for alert in &mut result.tagged.alerts {
             alert.time = Timestamp::from_micros(alert.time.as_micros() - shift);
         }

@@ -25,7 +25,7 @@ fn frozen_store() -> AlertStore {
     let text = log.render();
     let mut registry = CategoryRegistry::new();
     let rules = RuleSet::builtin(SystemId::BlueGeneL, &mut registry);
-    let result = ingest_batch(SystemId::BlueGeneL, &text, &rules, &filter, 1);
+    let result = ingest_batch(SystemId::BlueGeneL, &text, &rules, &filter);
     let severities: Vec<Severity> = if result.parse.parsed as usize == log.messages.len() {
         log.messages.iter().map(|m| m.severity).collect()
     } else {
@@ -39,7 +39,7 @@ fn frozen_store() -> AlertStore {
 Mar  7 07:30:00 sn373 pbs_mom: task_check, cannot tm_reply to 10 task 1\n\
 Mar  7 07:30:01 sn373 pbs_mom: task_check, cannot tm_reply to 11 task 1\n\
 Mar  7 09:00:00 dn228 pbs_mom: task_check, cannot tm_reply to 12 task 1\n";
-    let result = ingest_batch(SystemId::Liberty, text, &rules, &filter, 1);
+    let result = ingest_batch(SystemId::Liberty, text, &rules, &filter);
     store.ingest(SystemId::Liberty, &result, &registry, &[]);
     store
 }

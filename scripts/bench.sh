@@ -21,10 +21,23 @@
 #                                 (vm_eligible == dfa_resolved +
 #                                 vm_fallback always)
 #   {"record":"parallel_speedup"} serial/parallel median ratio for the
-#                                 prefiltered engine; emitted only when
-#                                 the host has more than one CPU, so a
-#                                 single-core ratio is never mistaken
-#                                 for a parallelism measurement
+#                                 prefiltered engine: serial_prefiltered
+#                                 (tag_messages) against
+#                                 parallel4_prefiltered (4 TagPool
+#                                 workers through the pipeline entry,
+#                                 tag_filter_stream, no ground truth);
+#                                 emitted only when the host has more
+#                                 than one CPU, so a single-core ratio
+#                                 is never mistaken for a parallelism
+#                                 measurement
+# The brute-force all-rules path is timed serially only
+# (serial_brute).
+#
+# BENCH_pipeline.json's two meta records: meta_ingest pairs the serial
+# ingest_batch oracle with ingest_stream (batch/stream medians, their
+# ratio, the stream's in-flight peaks and bound, and the whole-log
+# message count); meta_study carries study_stream's median and its
+# in-flight peak and bound.
 #
 # BENCH_pipeline.json also carries one observability snapshot: a
 # {"record":"obs"} line from an instrumented (untimed) study run, with

@@ -23,12 +23,15 @@
 #      a second definition is how two crates silently write
 #      incompatible files.
 #   7. The model-checked sync protocols stay on the sclog-sync facade:
-#      channel.rs, pool.rs, recorder.rs, and server.rs must not name
-#      std::sync::{Mutex, Condvar, RwLock} outside their test modules.
-#      A direct std lock there is invisible to the model checker — the
-#      schedule exploration silently stops covering it. (std atomics
-#      are allowed where documented: single-writer hot-path data, not
-#      sync protocol.)
+#      channel.rs, pool.rs, recorder.rs, server.rs, sampler.rs,
+#      trace.rs and the streaming pipeline (pipeline/mod.rs, ingest.rs)
+#      must not name std::sync::{Mutex, Condvar, RwLock}, nor spawn
+#      threads through std::thread::{scope, spawn} or a scope's
+#      .spawn( method, outside their test modules. A direct std lock or
+#      thread there is invisible to the model checker — the schedule
+#      exploration silently stops covering it. (std atomics are allowed
+#      where documented: single-writer hot-path data, not sync
+#      protocol.)
 #   8. Every `model::mutation(...)` call site sits directly under a
 #      `#[cfg(sclog_model)]` gate, so the seeded bugs cannot compile
 #      into a release binary. (The function itself is only *defined*
@@ -167,18 +170,24 @@ else
 fi
 
 # -- 7. sync protocols ride the facade --------------------------------
-# The model-checked protocol files must take their locks from
-# sclog-sync, never std::sync directly — a std lock is a blind spot
-# the checker cannot schedule around. Same mod-tests cut as #2 (tests
-# run natively and may use std).
+# The model-checked protocol files must take their locks and threads
+# from sclog-sync, never std directly — a std lock or thread is a
+# blind spot the checker cannot schedule around. Same mod-tests cut as
+# #2 (tests run natively and may use std).
 for f in crates/core/src/pipeline/channel.rs crates/rules/src/pool.rs \
     crates/obs/src/recorder.rs crates/sclogd/src/server.rs \
-    crates/sclogd/src/sampler.rs crates/sclogd/src/trace.rs; do
+    crates/sclogd/src/sampler.rs crates/sclogd/src/trace.rs \
+    crates/core/src/pipeline/mod.rs crates/core/src/pipeline/ingest.rs; do
     [ -f "$f" ] || { complain "$f: missing (model-checked protocol file)"; continue; }
-    hit=$(awk '/^ *(#\[cfg\(test\)\]|mod tests)/ { exit } { print NR ":" $0 }' "$f" |
-        grep -E 'std::sync.*\b(Mutex|Condvar|RwLock)\b' || true)
+    body=$(awk '/^ *(#\[cfg\(test\)\]|mod tests)/ { exit } { print NR ":" $0 }' "$f")
+    hit=$(printf '%s\n' "$body" | grep -E 'std::sync.*\b(Mutex|Condvar|RwLock)\b' || true)
     if [ -n "$hit" ]; then
         complain "$f: direct std::sync lock in a model-checked protocol (use sclog_sync): $(printf '%s' "$hit" | head -1)"
+    fi
+    hit=$(printf '%s\n' "$body" | grep -E 'std::thread::(scope|spawn)|\.spawn\(' |
+        grep -vE '^[0-9]+: *//' || true)
+    if [ -n "$hit" ]; then
+        complain "$f: std thread spawn in a model-checked protocol (use sclog_sync::thread): $(printf '%s' "$hit" | head -1)"
     fi
 done
 

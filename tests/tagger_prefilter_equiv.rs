@@ -11,7 +11,7 @@
 
 use sclog::parse::render_native;
 use sclog::rules::catalog::{catalog, example_body, example_value, fill_template};
-use sclog::rules::{Predicate, RuleSet};
+use sclog::rules::{Predicate, RuleSet, TagScratch};
 use sclog::simgen::{generate, Scale};
 use sclog::types::{CategoryRegistry, ALL_SYSTEMS};
 use sclog_testkit::{check_n, Gen};
@@ -56,7 +56,7 @@ fn prefiltered_tagging_equals_brute_force_per_line() {
             for msg in &log.messages {
                 let line = render_native(msg, &log.interner);
                 assert_eq!(
-                    rules.tag_line(&line),
+                    rules.tag_line_with(&line, &mut TagScratch::new()),
                     rules.tag_line_unfiltered(&line),
                     "{sys} seed {seed}: divergence on line {line:?}"
                 );
