@@ -46,7 +46,7 @@ fn swar_agrees_with_scalar_on_byte_soup() {
 fn swar_agrees_with_scalar_at_every_offset() {
     // Sliding a window over one buffer exercises every alignment of
     // the newline relative to the 8-byte lanes.
-    let mut buf = vec![b'x'; 40];
+    let mut buf = [b'x'; 40];
     for nl in 0..buf.len() {
         buf[nl] = b'\n';
         for start in 0..=buf.len() {

@@ -126,8 +126,7 @@ impl AhoCorasick {
         let mut order: Vec<u32> = Vec::with_capacity(states);
         order.push(0);
         let mut queue = VecDeque::new();
-        for b in 0..256 {
-            let t = trie[b];
+        for &t in &trie[..256] {
             if t != ABSENT {
                 depth[t as usize] = 1;
                 queue.push_back(t);

@@ -290,10 +290,9 @@ impl Regex {
             if add_thread(&self.prog, &mut current, 0, i, n) {
                 return true;
             }
-            if i == n {
+            let Some(&c) = chars.get(i) else {
                 break;
-            }
-            let c = chars[i];
+            };
             for k in 0..current.list.len() {
                 let pc = current.list[k];
                 let consumed = match &self.prog[pc] {

@@ -9,9 +9,19 @@
 //! `alerts` takes at most the run's first `limit` matches, so the
 //! answer carries the first `limit` in `(time, seq)` order, a client
 //! can see it was truncated, and memory stays O(`limit`).
+//!
+//! The body is written into one growing `String` with no allocation
+//! per row: keys are literals, host and category names are quoted and
+//! escaped in place by [`json::push_str`], system, class and severity are written
+//! through their `Display`, and `time` through
+//! [`Timestamp::write_iso`](sclog_types::Timestamp::write_iso). The
+//! text is byte-for-byte what the `JsonObject` builders emit
+//! (`tests/alerts_stream_equiv.rs` keeps that renderer as its oracle).
+
+use std::fmt::Write as _;
 
 use sclog_store::{ScanFilter, ScanStats, TopK};
-use sclog_types::json::{JsonArray, JsonObject};
+use sclog_types::json;
 use sclog_types::segment::{class_code, severity_code};
 
 use crate::query::{Field, FilteredSelect, Query, SeveritySelect};
@@ -67,21 +77,48 @@ pub fn scan_filter(inner: &StoreInner, query: &Query) -> ScanFilter {
     filter
 }
 
-fn render_alert(inner: &StoreInner, alert: &StoredAlert, fields: &[Field]) -> String {
-    let mut obj = JsonObject::new();
-    for field in fields {
+/// Appends one row's object, its `fields` in order, to `out`.
+fn write_alert(out: &mut String, inner: &StoreInner, alert: &StoredAlert, fields: &[Field]) {
+    out.push('{');
+    for (i, field) in fields.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        // Writing to a `String` cannot fail. System, class and
+        // severity names are static ASCII with nothing to escape, so
+        // their Display text goes in verbatim.
         match field {
-            Field::Time => obj.str("time", &alert.time.to_iso_string()),
-            Field::Host => obj.str("host", inner.host_name(alert)),
-            Field::Category => obj.str("category", inner.category_name(alert)),
-            Field::System => obj.str("system", &inner.system_of(alert).to_string()),
-            Field::Class => obj.str("class", &inner.class_of(alert).to_string()),
-            Field::Severity => obj.str("severity", &alert.severity.to_string()),
-            Field::Index => obj.uint("index", alert.message_index as u64),
-            Field::Filtered => obj.bool("filtered", alert.filtered),
-        };
+            Field::Time => {
+                out.push_str("\"time\":\"");
+                alert.time.write_iso(out);
+                out.push('"');
+            }
+            Field::Host => {
+                out.push_str("\"host\":");
+                json::push_str(inner.host_name(alert), out);
+            }
+            Field::Category => {
+                out.push_str("\"category\":");
+                json::push_str(inner.category_name(alert), out);
+            }
+            Field::System => {
+                let _ = write!(out, "\"system\":\"{}\"", inner.system_of(alert));
+            }
+            Field::Class => {
+                let _ = write!(out, "\"class\":\"{}\"", inner.class_of(alert));
+            }
+            Field::Severity => {
+                let _ = write!(out, "\"severity\":\"{}\"", alert.severity);
+            }
+            Field::Index => {
+                let _ = write!(out, "\"index\":{}", alert.message_index);
+            }
+            Field::Filtered => {
+                let _ = write!(out, "\"filtered\":{}", alert.filtered);
+            }
+        }
     }
-    obj.finish()
+    out.push('}');
 }
 
 /// Runs the query through a pruned store scan and renders the
@@ -103,15 +140,22 @@ pub fn render_alerts(
         .map_err(|e| e.to_string())?;
     let total = top.total();
     let hits = top.into_sorted();
-    let mut rows = JsonArray::new();
-    for alert in &hits {
-        rows.push_raw(&render_alert(inner, alert, &query.fields));
+    // Grows as rows are written: reserving `limit` rows up front costs
+    // every small answer a large block.
+    let mut body = String::new();
+    let _ = write!(
+        body,
+        "{{\"total\":{total},\"returned\":{},\"alerts\":[",
+        hits.len()
+    );
+    for (i, alert) in hits.iter().enumerate() {
+        if i > 0 {
+            body.push(',');
+        }
+        write_alert(&mut body, inner, alert, &query.fields);
     }
-    let mut body = JsonObject::new();
-    body.uint("total", total)
-        .uint("returned", hits.len() as u64)
-        .raw("alerts", &rows.finish());
-    Ok((body.finish(), stats))
+    body.push_str("]}");
+    Ok((body, stats))
 }
 
 #[cfg(test)]

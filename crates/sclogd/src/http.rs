@@ -213,15 +213,18 @@ impl Response {
         r
     }
 
-    /// Serializes head and body to the wire.
+    /// Serializes head and body to the wire with one `write_all`: the
+    /// stream is an unbuffered socket, where each `write` is a `send`.
     ///
     /// # Errors
     ///
     /// Propagates socket write errors; callers treat them as the peer
     /// having gone away.
     pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
+        // The head is under 160 bytes for every status and type sent.
+        let mut wire = Vec::with_capacity(160 + self.body.len());
         write!(
-            w,
+            wire,
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n",
             self.status,
             status_reason(self.status),
@@ -229,10 +232,11 @@ impl Response {
             self.body.len()
         )?;
         if let Some(secs) = self.retry_after {
-            write!(w, "Retry-After: {secs}\r\n")?;
+            write!(wire, "Retry-After: {secs}\r\n")?;
         }
-        write!(w, "\r\n")?;
-        w.write_all(self.body.as_bytes())?;
+        wire.extend_from_slice(b"\r\n");
+        wire.extend_from_slice(self.body.as_bytes());
+        w.write_all(&wire)?;
         w.flush()
     }
 }
@@ -364,5 +368,50 @@ mod tests {
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"));
         assert!(text.contains("Retry-After: 1\r\n"));
+    }
+
+    /// A sink that records each `write` call separately, the way an
+    /// unbuffered socket turns each into one `send`.
+    #[derive(Default)]
+    struct CountingSink {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for CountingSink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn one_write_per_reply() {
+        let body = format!("{{\"alerts\":[{}]}}", "1,".repeat(4_000) + "1");
+        for (resp, head) in [
+            (
+                Response::json(200, body.clone()),
+                format!(
+                    "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
+                     Content-Length: {}\r\nConnection: close\r\n\r\n",
+                    body.len()
+                ),
+            ),
+            (
+                Response::overloaded(1),
+                "HTTP/1.1 503 Service Unavailable\r\nContent-Type: text/plain; \
+                 charset=utf-8\r\nContent-Length: 30\r\nConnection: close\r\n\
+                 Retry-After: 1\r\n\r\n"
+                    .to_owned(),
+            ),
+        ] {
+            let mut sink = CountingSink::default();
+            resp.write_to(&mut sink).unwrap();
+            assert_eq!(sink.writes.len(), 1, "head and body must go in one write");
+            assert_eq!(sink.writes[0], format!("{head}{}", resp.body).into_bytes());
+        }
     }
 }

@@ -3,8 +3,8 @@
 //! `compute_reference` below is the pre-streaming aggregate code: one
 //! sorted materialising scan folded through `HashMap`s keyed by
 //! category id and host *name*. The served `/categories`,
-//! `/interarrival` and `/hotspots?k=<all>` bodies must be
-//! byte-identical to what it renders, on a multi-system simgen store
+//! `/interarrival` and `/hotspots` bodies (`k` = 1, 3 and every node)
+//! must be byte-identical to what it renders, on a multi-system simgen store
 //! that holds hosts tied on survivor count (ties order by name),
 //! tagged categories with zero survivors, survivor times that reach
 //! the fold out of time order, and both 64-row words whose rows share
@@ -33,8 +33,8 @@ fn rec() -> ThreadRecorder {
 struct Reference {
     categories: String,
     interarrival: String,
-    /// `/hotspots` with `k` covering every node.
-    hotspots: String,
+    /// Full hotspot ranking: most survivors first, ties by name.
+    hotspots: Vec<(String, u64)>,
     /// Whether two hosts share a survivor count.
     tied: bool,
     stats: ScanStats,
@@ -96,15 +96,6 @@ fn compute_reference(inner: &StoreInner) -> Reference {
         .map(|(h, n)| (h.to_owned(), n))
         .collect();
     hotspots.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    let mut rows = JsonArray::new();
-    for (host, count) in &hotspots {
-        let mut obj = JsonObject::new();
-        obj.str("host", host).uint("filtered", *count);
-        rows.push_raw(&obj.finish());
-    }
-    let mut hot = JsonObject::new();
-    hot.uint("nodes", hotspots.len() as u64)
-        .raw("hotspots", &rows.finish());
 
     let wrap = |rows: JsonArray, key: &str| {
         let mut body = JsonObject::new();
@@ -114,10 +105,24 @@ fn compute_reference(inner: &StoreInner) -> Reference {
     Reference {
         categories: wrap(categories, "categories"),
         interarrival: wrap(interarrival, "interarrival"),
-        hotspots: hot.finish(),
         tied: hotspots.windows(2).any(|w| w[0].1 == w[1].1),
+        hotspots,
         stats,
     }
+}
+
+/// The `/hotspots?k=<k>` body the pre-streaming code rendered.
+fn hotspots_body(ranking: &[(String, u64)], k: usize) -> String {
+    let mut rows = JsonArray::new();
+    for (host, count) in ranking.iter().take(k) {
+        let mut obj = JsonObject::new();
+        obj.str("host", host).uint("filtered", *count);
+        rows.push_raw(&obj.finish());
+    }
+    let mut hot = JsonObject::new();
+    hot.uint("nodes", ranking.len() as u64)
+        .raw("hotspots", &rows.finish());
+    hot.finish()
 }
 
 #[test]
@@ -201,10 +206,14 @@ fn dense_fold_matches_hashmap_reference() {
         cache.interarrival(&store, &rec()).unwrap().0,
         want.interarrival
     );
-    assert_eq!(
-        cache.hotspots(&store, &rec(), nodes).unwrap().0,
-        want.hotspots
-    );
+    assert!(nodes > 3, "top-k must truncate at k = 1 and 3");
+    for k in [1, 3, nodes] {
+        assert_eq!(
+            cache.hotspots(&store, &rec(), k).unwrap().0,
+            hotspots_body(&want.hotspots, k),
+            "k={k}"
+        );
+    }
 
     // The fixture must exercise what the comparison claims to cover.
     assert!(want.tied, "no hosts tied on survivor count");

@@ -75,10 +75,7 @@ impl Wal {
 
         let mut records = Vec::new();
         let mut pos = HEADER_LEN as usize;
-        loop {
-            let Some(frame_end) = valid_frame_end(&bytes, pos, &mut records) else {
-                break;
-            };
+        while let Some(frame_end) = valid_frame_end(&bytes, pos, &mut records) {
             pos = frame_end;
         }
         if pos as u64 != bytes.len() as u64 {
@@ -193,7 +190,7 @@ mod tests {
             category: CategoryId::from_index(0),
             severity: Severity::None,
             message_index: seq as usize,
-            filtered: seq % 2 == 0,
+            filtered: seq.is_multiple_of(2),
             seq,
         }
     }

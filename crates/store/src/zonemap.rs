@@ -277,7 +277,7 @@ impl ScanFilter {
             let cat = r.category.index();
             if want
                 .get(cat / 64)
-                .map_or(true, |w| w & (1 << (cat % 64)) == 0)
+                .is_none_or(|w| w & (1 << (cat % 64)) == 0)
             {
                 return false;
             }

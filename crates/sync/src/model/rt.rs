@@ -328,7 +328,7 @@ impl Runtime {
         }
         IN_INVARIANT.set(true);
         for (name, f) in invs.iter() {
-            if catch_unwind(AssertUnwindSafe(|| f())).is_err() {
+            if catch_unwind(AssertUnwindSafe(f)).is_err() {
                 IN_INVARIANT.set(false);
                 let msg = LAST_PANIC
                     .take()
@@ -717,31 +717,31 @@ impl Runtime {
 
     // ---- object-state accessors for the primitives ------------------
 
-    pub(crate) fn mutex_holder_mut<'a>(st: &'a mut SchedState, id: usize) -> &'a mut Option<usize> {
+    pub(crate) fn mutex_holder_mut(st: &mut SchedState, id: usize) -> &mut Option<usize> {
         match &mut st.objects[id] {
             Obj::Mutex { held_by } => held_by,
             _ => unreachable!("object #{id} is not a mutex"),
         }
     }
 
-    pub(crate) fn condvar_waiters_mut<'a>(st: &'a mut SchedState, id: usize) -> &'a mut Vec<usize> {
+    pub(crate) fn condvar_waiters_mut(st: &mut SchedState, id: usize) -> &mut Vec<usize> {
         match &mut st.objects[id] {
             Obj::Condvar { waiters } => waiters,
             _ => unreachable!("object #{id} is not a condvar"),
         }
     }
 
-    pub(crate) fn rwlock_mut<'a>(
-        st: &'a mut SchedState,
+    pub(crate) fn rwlock_mut(
+        st: &mut SchedState,
         id: usize,
-    ) -> (&'a mut Option<usize>, &'a mut Vec<usize>) {
+    ) -> (&mut Option<usize>, &mut Vec<usize>) {
         match &mut st.objects[id] {
             Obj::RwLock { writer, readers } => (writer, readers),
             _ => unreachable!("object #{id} is not a rwlock"),
         }
     }
 
-    pub(crate) fn atomic_mut<'a>(st: &'a mut SchedState, id: usize) -> &'a mut u64 {
+    pub(crate) fn atomic_mut(st: &mut SchedState, id: usize) -> &mut u64 {
         match &mut st.objects[id] {
             Obj::Atomic { value } => value,
             _ => unreachable!("object #{id} is not an atomic"),

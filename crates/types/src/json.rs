@@ -254,7 +254,8 @@ fn push_num(v: f64, out: &mut String) {
     }
 }
 
-fn push_str(s: &str, out: &mut String) {
+/// Appends `s` as a quoted, escaped JSON string onto `out`.
+pub fn push_str(s: &str, out: &mut String) {
     out.push('"');
     escape_into(s, out);
     out.push('"');

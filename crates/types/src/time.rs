@@ -259,8 +259,18 @@ impl Timestamp {
 
     /// Renders as an ISO-8601-like string, e.g. `2005-06-03 15:42:50`.
     pub fn to_iso_string(self) -> String {
+        let mut out = String::with_capacity(19);
+        self.write_iso(&mut out);
+        out
+    }
+
+    /// Appends the ISO form to `out` without allocating — the path
+    /// every `/alerts` row's `time` renders through.
+    pub fn write_iso(self, out: &mut String) {
+        use fmt::Write as _;
         let (y, m, d, hh, mm, ss) = self.to_civil();
-        format!("{y:04}-{m:02}-{d:02} {hh:02}:{mm:02}:{ss:02}")
+        // Writing to a `String` cannot fail.
+        let _ = write!(out, "{y:04}-{m:02}-{d:02} {hh:02}:{mm:02}:{ss:02}");
     }
 
     /// Saturating addition of a duration.
@@ -411,6 +421,55 @@ mod tests {
         assert_eq!(t.to_syslog_string(), "Jan  2 03:04:05");
         let t = Timestamp::from_ymd_hms(2005, 11, 12, 3, 4, 5);
         assert_eq!(t.to_syslog_string(), "Nov 12 03:04:05");
+    }
+
+    #[test]
+    fn iso_format_matches_the_padded_reference() {
+        // Random micros over the whole i64 range (years about
+        // ±292 000) and within ±285 years of the epoch, plus the
+        // edges: pre-1970 instants, year 0, the 9999/10000 boundary.
+        let reference = |t: Timestamp| {
+            let (y, m, d, hh, mm, ss) = t.to_civil();
+            format!("{y:04}-{m:02}-{d:02} {hh:02}:{mm:02}:{ss:02}")
+        };
+        let mut state = 0x5c10_9e57_u64;
+        let mut next = || {
+            // SplitMix64.
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut cases: Vec<Timestamp> = vec![
+            Timestamp::EPOCH,
+            Timestamp::from_micros(-1),
+            Timestamp::from_ymd_hms(0, 1, 1, 0, 0, 0),
+            Timestamp::from_ymd_hms(-1, 12, 31, 23, 59, 59),
+            Timestamp::from_ymd_hms(9999, 12, 31, 23, 59, 59),
+            Timestamp::from_ymd_hms(10_000, 1, 1, 0, 0, 0),
+            Timestamp::from_micros(i64::MIN),
+            Timestamp::from_micros(i64::MAX),
+        ];
+        let span = 1u64 << 54;
+        for _ in 0..20_000 {
+            cases.push(Timestamp::from_micros(next() as i64));
+            cases.push(Timestamp::from_micros(
+                (next() % span) as i64 - (span / 2) as i64,
+            ));
+        }
+        let mut out = String::from("prefix|");
+        for t in cases {
+            out.truncate("prefix|".len());
+            t.write_iso(&mut out);
+            assert_eq!(
+                &out["prefix|".len()..],
+                reference(t),
+                "micros {}",
+                t.as_micros()
+            );
+            assert_eq!(t.to_iso_string(), reference(t));
+        }
     }
 
     #[test]

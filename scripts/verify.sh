@@ -9,9 +9,10 @@
 #                                    lint gate and the bench and obs
 #                                    smokes)
 #   scripts/verify.sh --lint         only the lint gate: source hygiene
-#                                    (scripts/tidy.sh) plus the static
+#                                    (scripts/tidy.sh), the static
 #                                    rule-catalog audit checked against
-#                                    the committed AUDIT.json snapshot
+#                                    the committed AUDIT.json snapshot,
+#                                    and clippy over every target
 #   scripts/verify.sh --bench-smoke  only the bench smoke: run the
 #                                    tagger and pipeline benches at
 #                                    minimal sample counts to prove the
@@ -76,6 +77,8 @@ lint() {
     sh scripts/tidy.sh
     echo "== sclog-audit --check AUDIT.json (rule-catalog static analysis)"
     cargo run -q --offline --release -p sclog-audit -- --check AUDIT.json
+    echo "== clippy (every target, warnings denied by the exported -Dwarnings)"
+    cargo clippy -q --offline --workspace --all-targets
 }
 
 bench_smoke() {
