@@ -5,12 +5,21 @@
 //! lines. This bench times the Aho-Corasick-prescanned engine serially
 //! and on a 4-worker `TagPool` (through the streaming pipeline's
 //! entry, `tag_filter_stream`), and the brute-force all-rules path
-//! serially, on two workload shapes:
+//! serially, on two mostly-background workload shapes:
 //!
-//! * **Spirit** — mostly background ("mostly-untagged"), where the
-//!   prescan rejects almost every line without running a single regex;
-//! * **Liberty** — a heavier alert mix, where more lines survive the
-//!   prescan and the candidate loop does real work.
+//! * **Spirit** — a tiny alert scale over a large background volume,
+//!   where the prescan rejects ~94% of lines without running a regex;
+//! * **Liberty** — a background-only shape: Liberty's 2,452 paper
+//!   alerts tag 126 of ~80 k lines, so the prescan gates almost all.
+//!
+//! The third group, **Spirit live**, is the alert-heavy case the
+//! daemon's live ingest runs: Spirit raw lines at the end-to-end
+//! benchmark's pass scale (~93% alerts, most of them surviving the
+//! prescan) through `tag_line_with`, the streaming pipeline's call.
+//! Its `prescan` arm runs only the literal prescan (the public
+//! `AhoCorasick` over the catalog's required factors) on the same
+//! lines, and a `{"record":"prescan_split",...}` line reports both in
+//! ns/byte, splitting the live cost into prescan and confirmation.
 //!
 //! Emits one JSON record per benchmark on stdout (captured in
 //! `BENCH_tagger.json` at the repo root); human-readable summaries go
@@ -20,7 +29,7 @@ use sclog_bench::{BenchGroup, HARNESS_SEED};
 use sclog_core::pipeline::tag_filter_stream;
 use sclog_filter::SpatioTemporalFilter;
 use sclog_obs::Recorder;
-use sclog_rules::{RuleSet, TagScratch};
+use sclog_rules::{catalog, AhoCorasick, Predicate, RuleSet, TagCounts, TagScratch};
 use sclog_simgen::{generate, Scale};
 use sclog_types::json::JsonObject;
 use sclog_types::{CategoryRegistry, SystemId};
@@ -28,25 +37,20 @@ use sclog_types::{CategoryRegistry, SystemId};
 /// Workers for the parallel arm.
 const THREADS: usize = 4;
 
-/// One counted serial pass over the log, reported as a
-/// `{"record":"tiers",...}` line: where the engine's work actually
-/// went — prefilter-gated lines, lazy-DFA resolutions, and Pike-VM
-/// fallbacks — so a timing shift in `BENCH_tagger.json` can be traced
-/// to the tier whose share moved.
-fn emit_tier_record(system: SystemId, rules: &RuleSet, log: &sclog_simgen::GenLog) {
-    let mut scratch = TagScratch::new();
-    for msg in &log.messages {
-        let _ = rules.tag_message_with(msg, &log.interner, &mut scratch);
-    }
-    let counts = scratch.take_counts();
+/// One counted serial pass, reported as a `{"record":"tiers",...}`
+/// line: where the engine's work actually went — prefilter-gated
+/// lines, lazy-DFA resolutions, and Pike-VM fallbacks — so a timing
+/// shift in `BENCH_tagger.json` can be traced to the tier whose share
+/// moved.
+fn emit_tier_record(label: &str, counts: TagCounts) {
     assert_eq!(
         counts.vm_eligible,
         counts.dfa_execs + counts.dfa_bailouts,
-        "{system}: tier accounting leaked"
+        "{label}: tier accounting leaked"
     );
     let mut rec = JsonObject::new();
     rec.str("record", "tiers")
-        .str("system", &format!("{system:?}").to_lowercase())
+        .str("system", label)
         .uint("lines", counts.lines)
         .uint("prefilter_gated", counts.gated_out)
         .uint("rule_checks", counts.vm_execs)
@@ -57,7 +61,7 @@ fn emit_tier_record(system: SystemId, rules: &RuleSet, log: &sclog_simgen::GenLo
         .uint("matches", counts.matches);
     println!("{}", rec.finish());
     eprintln!(
-        "{system}: tiers — {} lines, {} gated, {} rule checks, {} dfa-resolved, {} vm-fallback",
+        "{label}: tiers — {} lines, {} gated, {} rule checks, {} dfa-resolved, {} vm-fallback",
         counts.lines, counts.gated_out, counts.vm_execs, counts.dfa_execs, counts.dfa_bailouts
     );
 }
@@ -73,7 +77,7 @@ fn emit_speedup_record(system: SystemId, serial_ns: u128, parallel_ns: u128) {
     }
     let mut rec = JsonObject::new();
     rec.str("record", "parallel_speedup")
-        .str("system", &format!("{system:?}").to_lowercase())
+        .str("system", &label(system))
         .uint("host_cpus", cpus as u64)
         .uint("threads", THREADS as u64)
         .uint("serial_median_ns", serial_ns as u64)
@@ -99,9 +103,13 @@ fn bench_system(system: SystemId, scale: Scale) {
         log.len(),
         pre.alerts.len()
     );
-    emit_tier_record(system, &rules, &log);
+    let mut scratch = TagScratch::new();
+    for msg in &log.messages {
+        let _ = rules.tag_message_with(msg, &log.interner, &mut scratch);
+    }
+    emit_tier_record(&label(system), scratch.take_counts());
 
-    let name = format!("tagger_{}", format!("{system:?}").to_lowercase());
+    let name = format!("tagger_{}", label(system));
     let mut group = BenchGroup::new(&name);
     group.sample_size(10).throughput_elements(log.len() as u64);
 
@@ -145,11 +153,95 @@ fn bench_system(system: SystemId, scale: Scale) {
     });
 }
 
+/// The live pass's Spirit share: raw lines at the end-to-end
+/// benchmark's pass scale, tagged one line at a time through
+/// `tag_line_with` as `ingest_stream` does, beside a prescan-only arm
+/// over the same lines.
+fn bench_spirit_live(scale: Scale) {
+    let system = SystemId::Spirit;
+    let text = generate(system, scale, HARNESS_SEED).render();
+    let lines: Vec<&str> = text.lines().collect();
+    let bytes: u64 = lines.iter().map(|l| l.len() as u64).sum();
+    let rules = RuleSet::builtin(system, &mut CategoryRegistry::new());
+
+    // The prescan arm's automaton: every catalog rule's required
+    // literal factors, each once, as the ruleset builds its own.
+    let mut factors: Vec<String> = Vec::new();
+    for spec in catalog(system) {
+        let predicate = Predicate::parse(spec.rule).expect("catalog rules parse");
+        for factor in predicate.required_literals().unwrap_or_default() {
+            if !factors.contains(&factor) {
+                factors.push(factor);
+            }
+        }
+    }
+    let prescan = AhoCorasick::new(&factors);
+
+    // The two paths must agree before their speeds mean anything.
+    let mut scratch = TagScratch::new();
+    let mut tagged = 0;
+    for line in &lines {
+        let got = rules.tag_line_with(line, &mut scratch);
+        assert_eq!(
+            got,
+            rules.tag_line_unfiltered(line),
+            "spirit live: prefiltered and brute-force tagging disagree on {line:?}"
+        );
+        tagged += usize::from(got.is_some());
+    }
+    eprintln!(
+        "spirit live: {} lines, {bytes} bytes, {tagged} tagged, {} factors",
+        lines.len(),
+        factors.len()
+    );
+    emit_tier_record("spirit_live", scratch.take_counts());
+
+    let mut group = BenchGroup::new("tagger_spirit_live");
+    group
+        .sample_size(10)
+        .throughput_elements(lines.len() as u64);
+    let (live_ns, prescan_ns) = group.bench_pair(
+        "serial_prefiltered",
+        || {
+            lines
+                .iter()
+                .filter(|line| rules.tag_line_with(line, &mut scratch).is_some())
+                .count()
+        },
+        "prescan",
+        || {
+            let mut hits = 0u64;
+            for line in &lines {
+                prescan.scan(line.as_bytes(), |_| hits += 1);
+            }
+            hits
+        },
+    );
+    let mut rec = JsonObject::new();
+    rec.str("record", "prescan_split")
+        .str("system", "spirit_live")
+        .uint("lines", lines.len() as u64)
+        .uint("bytes", bytes)
+        .uint("factors", factors.len() as u64)
+        .num("live_ns_per_byte", live_ns as f64 / bytes as f64)
+        .num("prescan_ns_per_byte", prescan_ns as f64 / bytes as f64)
+        .num("prescan_share", prescan_ns as f64 / live_ns as f64);
+    println!("{}", rec.finish());
+}
+
+/// A system's lower-case name, as records and group names carry it.
+fn label(system: SystemId) -> String {
+    format!("{system:?}").to_lowercase()
+}
+
 fn main() {
     // Spirit: tiny alert scale over a large background volume — the
     // shape where almost no line matches any rule.
     bench_system(SystemId::Spirit, Scale::new(0.00002, 0.0005));
-    // Liberty: alert-heavier mix (Liberty has only 2,452 paper
-    // alerts, so the alert scale must be much larger to tag anything).
+    // Liberty: background-only in practice. Liberty has only 2,452
+    // paper alerts, so even this alert scale tags ~0.2% of lines.
     bench_system(SystemId::Liberty, Scale::new(0.05, 0.0003));
+    // Spirit at the live pass's scale (`perfbench`'s `PASS_SCALE`):
+    // ~93% alerts.
+    bench_spirit_live(Scale::new(0.002, 0.00027));
 }

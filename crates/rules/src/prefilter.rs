@@ -15,34 +15,31 @@
 //! always-check set, so the prescan is a pure optimization — it can
 //! never change which rule tags a line.
 
-use std::collections::VecDeque;
 use std::fmt;
 
 /// Sentinel for "no trie child yet" during construction.
 const ABSENT: u32 = u32::MAX;
 
 /// A byte-oriented Aho-Corasick automaton for multi-pattern substring
-/// search, stored in a cache-aware shelf layout.
+/// search, stored as one flat DFA transition table.
 ///
-/// Construction builds the classic keyword trie and its BFS failure
-/// links, then renumbers every state by BFS order and splits them into
-/// two shelves:
+/// Construction builds the classic keyword trie, then fills in every
+/// missing edge in BFS order with the failure target's edge, so the
+/// scan never follows a failure link: each byte is one table lookup.
+/// The table's columns are *byte classes*, not bytes: every byte that
+/// occurs in some pattern has a class of its own, and all other bytes
+/// share one. The catalog's factors use a few dozen distinct bytes, so
+/// a row is tens of entries instead of 256 and the whole table stays
+/// cache-resident.
 ///
-/// * **dense** — the root and its direct children keep complete
-///   failure-folded 256-entry rows (one table lookup per byte). These
-///   are the states the scan actually lives in on log text, and BFS
-///   numbering packs them contiguously so the hot rows share cache
-///   lines instead of being strewn across a megabyte-scale table.
-/// * **sparse** — every deeper state stores only its real trie edges
-///   as a sorted `(byte → target)` run in one flat interleaved arena,
-///   plus an explicit failure link. A miss walks the failure chain
-///   (strictly decreasing depth), terminating at a dense state whose
-///   row is complete.
+/// State ids are premultiplied by the row width (a state's id is the
+/// index of its row), and the states that report a pattern are
+/// numbered last, so the scan loop is
+/// `s = table[s + class[b]]; if s >= match_base { report }`.
 ///
-/// Outputs are flattened the same way: per-state `(start, end)` ranges
-/// into one id arena, closed over failure chains at build time so the
-/// scan never follows links to report matches. Patterns are matched as
-/// raw bytes, so UTF-8 needles work on UTF-8 haystacks.
+/// Outputs are per-match-state ranges into one id arena, closed over
+/// failure chains at build time. Patterns are matched as raw bytes, so
+/// UTF-8 needles work on UTF-8 haystacks.
 ///
 /// # Examples
 ///
@@ -57,27 +54,23 @@ const ABSENT: u32 = u32::MAX;
 /// assert_eq!(hits, vec![0, 1, 2]); // "he", "she", "hers" all occur
 /// ```
 pub struct AhoCorasick {
-    /// Failure-folded 256-entry rows for states `0..dense_states`
-    /// (the root and its children, in BFS order).
-    dense: Vec<u32>,
-    /// Number of states with dense rows; states at or past this index
-    /// are sparse.
-    dense_states: usize,
-    /// Per-sparse-state `(start, end)` prefix sums into the sparse
-    /// arenas; sparse state `s` (new id) owns run
-    /// `sparse_idx[s - dense_states]..sparse_idx[s - dense_states + 1]`.
-    sparse_idx: Vec<u32>,
-    /// Sorted edge bytes of every sparse state, interleaved.
-    sparse_bytes: Vec<u8>,
-    /// Edge targets parallel to `sparse_bytes`.
-    sparse_targets: Vec<u32>,
-    /// Failure link of each sparse state (dense states never miss).
-    sparse_fail: Vec<u32>,
-    /// Per-state output ranges into `out_ids`, prefix sums.
+    /// Byte → class column.
+    classes: [u8; 256],
+    /// Row width: the number of byte classes.
+    stride: usize,
+    /// Complete transitions: `table[s + class]` is the premultiplied
+    /// id of the state after reading a byte of `class` in state `s`.
+    /// The root is state 0.
+    table: Vec<u32>,
+    /// Premultiplied id of the first state that reports a pattern;
+    /// every state at or past it does, and no state before it does.
+    match_base: u32,
+    /// Prefix sums into `out_ids`: the `m`-th match state (id
+    /// `match_base + m * stride`) reports `out_start[m]..out_start[m + 1]`.
     out_start: Vec<u32>,
-    /// Pattern ids accepted on *entering* each state, closed over
-    /// failure links (a state also accepts every pattern its failure
-    /// chain accepts).
+    /// Pattern ids accepted on *entering* each match state, closed
+    /// over failure links (a state also accepts every pattern its
+    /// failure chain accepts).
     out_ids: Vec<u32>,
     /// Number of patterns the automaton was built over.
     patterns: usize,
@@ -89,148 +82,132 @@ impl AhoCorasick {
     ///
     /// An empty pattern occurs trivially everywhere; it is reported
     /// once per scanned byte plus once for the empty haystack prefix.
+    ///
+    /// # Panics
+    ///
+    /// If the table would need more than `u32::MAX` entries.
     pub fn new<I, P>(patterns: I) -> Self
     where
         I: IntoIterator<Item = P>,
         P: AsRef<[u8]>,
     {
-        // Phase 1: the keyword trie, in dense scratch rows (construction
-        // only; the scan-time layout is built in phase 3 and the scratch
-        // is dropped).
-        let mut trie: Vec<u32> = vec![ABSENT; 256];
+        let patterns: Vec<P> = patterns.into_iter().collect();
+
+        // Byte classes from the pattern bytes: class 0 is shared by
+        // every byte no pattern uses (when there is such a byte), and
+        // each used byte gets the next class.
+        let mut used = [false; 256];
+        for pat in &patterns {
+            for &b in pat.as_ref() {
+                used[b as usize] = true;
+            }
+        }
+        let mut classes = [0u8; 256];
+        let mut stride = usize::from(used.contains(&false));
+        for (b, _) in used.iter().enumerate().filter(|(_, &u)| u) {
+            classes[b] = stride as u8;
+            stride += 1;
+        }
+
+        // The keyword trie, one row of `stride` child slots per state.
+        let mut trie: Vec<u32> = vec![ABSENT; stride];
         let mut out: Vec<Vec<u32>> = vec![Vec::new()];
-        let mut count = 0usize;
-        for (id, pat) in patterns.into_iter().enumerate() {
-            count += 1;
+        for (id, pat) in patterns.iter().enumerate() {
             let mut state = 0usize;
             for &b in pat.as_ref() {
-                let slot = state * 256 + b as usize;
-                state = if trie[slot] == ABSENT {
-                    let fresh = out.len() as u32;
-                    trie[slot] = fresh;
-                    trie.resize(trie.len() + 256, ABSENT);
-                    out.push(Vec::new());
-                    fresh as usize
-                } else {
-                    trie[slot] as usize
+                let slot = state * stride + classes[b as usize] as usize;
+                state = match trie[slot] {
+                    ABSENT => {
+                        let fresh = out.len();
+                        trie[slot] = fresh as u32;
+                        trie.resize(trie.len() + stride, ABSENT);
+                        out.push(Vec::new());
+                        fresh
+                    }
+                    t => t as usize,
                 };
             }
             out[state].push(id as u32);
         }
         let states = out.len();
+        assert!(
+            u32::try_from(states * stride).is_ok(),
+            "prefilter automaton exceeds u32 state ids"
+        );
 
-        // Phase 2: BFS failure links and output closure, recording the
-        // visit order (the new state numbering) and each state's depth.
+        // BFS (`order` doubles as the queue): a missing edge becomes
+        // the failure target's edge, whose row is already complete
+        // because the failure target is shallower. A real edge's
+        // failure link is that same folded edge. Outputs close over
+        // failure links on the way.
         let mut fail = vec![0u32; states];
-        let mut depth = vec![0u32; states];
         let mut order: Vec<u32> = Vec::with_capacity(states);
         order.push(0);
-        let mut queue = VecDeque::new();
-        for &t in &trie[..256] {
-            if t != ABSENT {
-                depth[t as usize] = 1;
-                queue.push_back(t);
-            }
-        }
-        while let Some(s) = queue.pop_front() {
-            order.push(s);
-            let su = s as usize;
-            let f = fail[su] as usize;
-            if !out[f].is_empty() {
+        let mut head = 0;
+        while head < order.len() {
+            let s = order[head] as usize;
+            head += 1;
+            let f = fail[s] as usize;
+            if s != 0 && !out[f].is_empty() {
                 let inherited = out[f].clone();
-                out[su].extend(inherited);
+                out[s].extend(inherited);
             }
-            for b in 0..256 {
-                let t = trie[su * 256 + b];
+            for c in 0..stride {
+                // The root's misses stay at the root.
+                let folded = if s == 0 { 0 } else { trie[f * stride + c] };
+                let t = trie[s * stride + c];
                 if t == ABSENT {
-                    continue;
-                }
-                // Resolve the child's failure target along s's chain;
-                // every state on the chain is shallower than s, so this
-                // cannot land on the child itself.
-                let mut f = fail[su] as usize;
-                fail[t as usize] = loop {
-                    let cand = trie[f * 256 + b];
-                    if cand != ABSENT {
-                        break cand;
-                    }
-                    if f == 0 {
-                        break 0;
-                    }
-                    f = fail[f] as usize;
-                };
-                depth[t as usize] = depth[su] + 1;
-                queue.push_back(t);
-            }
-        }
-
-        // Phase 3: renumber by BFS order and lay out the shelves.
-        let mut new_id = vec![0u32; states];
-        for (i, &old) in order.iter().enumerate() {
-            new_id[old as usize] = i as u32;
-        }
-        let dense_states = order
-            .iter()
-            .take_while(|&&s| depth[s as usize] <= 1)
-            .count();
-
-        let mut dense = vec![0u32; dense_states * 256];
-        // Root row first: a missing edge stays at the root. Children's
-        // rows then fold their misses through it — their failure state
-        // is the root, whose row is already complete.
-        for b in 0..256 {
-            let t = trie[b];
-            dense[b] = if t == ABSENT { 0 } else { new_id[t as usize] };
-        }
-        for (row, &old) in order[1..dense_states].iter().enumerate() {
-            let base = (row + 1) * 256;
-            let old_base = old as usize * 256;
-            for b in 0..256 {
-                let t = trie[old_base + b];
-                dense[base + b] = if t == ABSENT {
-                    dense[b]
+                    trie[s * stride + c] = folded;
                 } else {
-                    new_id[t as usize]
-                };
-            }
-        }
-
-        let mut sparse_idx = Vec::with_capacity(states - dense_states + 1);
-        let mut sparse_bytes = Vec::new();
-        let mut sparse_targets = Vec::new();
-        let mut sparse_fail = Vec::with_capacity(states - dense_states);
-        sparse_idx.push(0u32);
-        for &old in &order[dense_states..] {
-            let old_base = old as usize * 256;
-            for b in 0..256 {
-                let t = trie[old_base + b];
-                if t != ABSENT {
-                    sparse_bytes.push(b as u8);
-                    sparse_targets.push(new_id[t as usize]);
+                    fail[t as usize] = folded;
+                    order.push(t);
                 }
             }
-            sparse_idx.push(sparse_bytes.len() as u32);
-            sparse_fail.push(new_id[fail[old as usize] as usize]);
         }
 
-        let mut out_start = Vec::with_capacity(states + 1);
+        // Renumber: states without outputs first, then match states,
+        // each group in BFS order. The root stays 0 either way: with
+        // no outputs it leads the first group, and with outputs (an
+        // empty pattern) every state inherits them, so there is no
+        // first group.
+        let step = stride as u32;
+        let mut new_id = vec![0u32; states];
+        let mut next = 0u32;
+        for &s in order.iter().filter(|&&s| out[s as usize].is_empty()) {
+            new_id[s as usize] = next;
+            next += step;
+        }
+        let match_base = next;
+        for &s in order.iter().filter(|&&s| !out[s as usize].is_empty()) {
+            new_id[s as usize] = next;
+            next += step;
+        }
+
+        let mut table = vec![0u32; states * stride];
+        for (old, row) in trie.chunks_exact(stride).enumerate() {
+            let base = new_id[old] as usize;
+            for (slot, &t) in table[base..base + stride].iter_mut().zip(row) {
+                *slot = new_id[t as usize];
+            }
+        }
+
+        let mut out_start = vec![0u32];
         let mut out_ids = Vec::new();
-        out_start.push(0u32);
-        for &old in &order {
-            out_ids.extend_from_slice(&out[old as usize]);
-            out_start.push(out_ids.len() as u32);
+        for &s in &order {
+            if !out[s as usize].is_empty() {
+                out_ids.extend_from_slice(&out[s as usize]);
+                out_start.push(out_ids.len() as u32);
+            }
         }
 
         AhoCorasick {
-            dense,
-            dense_states,
-            sparse_idx,
-            sparse_bytes,
-            sparse_targets,
-            sparse_fail,
+            classes,
+            stride,
+            table,
+            match_base,
             out_start,
             out_ids,
-            patterns: count,
+            patterns: patterns.len(),
         }
     }
 
@@ -239,66 +216,40 @@ impl AhoCorasick {
         self.patterns
     }
 
-    /// One automaton step: the failure-folded transition from `state`
-    /// on `b`. Dense states answer with one table lookup; sparse
-    /// states probe their sorted edge run and fall down the failure
-    /// chain on a miss, which strictly decreases depth and therefore
-    /// terminates at a dense state.
+    /// Pattern ids a match state reports.
     #[inline]
-    fn step(&self, state: u32, b: u8) -> u32 {
-        let mut s = state as usize;
-        loop {
-            if s < self.dense_states {
-                return self.dense[s * 256 + b as usize];
-            }
-            let si = s - self.dense_states;
-            let lo = self.sparse_idx[si] as usize;
-            let hi = self.sparse_idx[si + 1] as usize;
-            // Runs are tiny (typically one or two edges): a linear
-            // probe of the sorted bytes beats binary search here.
-            match self.sparse_bytes[lo..hi].iter().position(|&x| x == b) {
-                Some(k) => return self.sparse_targets[lo + k],
-                None => s = self.sparse_fail[si] as usize,
-            }
-        }
-    }
-
-    /// Output range of a state in `out_ids`.
-    #[inline]
-    fn out_range(&self, state: u32) -> std::ops::Range<usize> {
-        self.out_start[state as usize] as usize..self.out_start[state as usize + 1] as usize
+    fn outputs(&self, state: u32) -> &[u32] {
+        let m = (state - self.match_base) as usize / self.stride;
+        &self.out_ids[self.out_start[m] as usize..self.out_start[m + 1] as usize]
     }
 
     /// Scans `haystack`, invoking `on_match(pattern_id)` at every
     /// occurrence of every pattern (a pattern occurring `k` times is
     /// reported `k` times; callers deduplicate if they care).
     pub fn scan(&self, haystack: &[u8], mut on_match: impl FnMut(u32)) {
-        for &id in &self.out_ids[self.out_range(0)] {
-            on_match(id);
-        }
         let mut state = 0u32;
+        if state >= self.match_base {
+            self.outputs(state).iter().for_each(|&id| on_match(id));
+        }
         for &b in haystack {
-            state = self.step(state, b);
-            // Empty for the vast majority of states; check before
-            // setting up the iterator.
-            let range = self.out_range(state);
-            if !range.is_empty() {
-                for &id in &self.out_ids[range] {
-                    on_match(id);
-                }
+            state = self.table[state as usize + self.classes[b as usize] as usize];
+            if state >= self.match_base {
+                self.outputs(state).iter().for_each(|&id| on_match(id));
             }
         }
     }
 
     /// True if any pattern occurs in `haystack`.
     pub fn is_match(&self, haystack: &[u8]) -> bool {
-        if !self.out_range(0).is_empty() {
+        // A reporting root means an empty pattern, which occurs in
+        // every haystack.
+        if self.match_base == 0 {
             return true;
         }
         let mut state = 0u32;
         for &b in haystack {
-            state = self.step(state, b);
-            if !self.out_range(state).is_empty() {
+            state = self.table[state as usize + self.classes[b as usize] as usize];
+            if state >= self.match_base {
                 return true;
             }
         }
@@ -310,9 +261,9 @@ impl fmt::Debug for AhoCorasick {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("AhoCorasick")
             .field("patterns", &self.patterns)
-            .field("states", &(self.out_start.len() - 1))
-            .field("dense_states", &self.dense_states)
-            .field("sparse_edges", &self.sparse_bytes.len())
+            .field("states", &(self.table.len() / self.stride))
+            .field("classes", &self.stride)
+            .field("match_states", &(self.out_start.len() - 1))
             .finish()
     }
 }
@@ -512,27 +463,62 @@ mod tests {
     }
 
     #[test]
-    fn shelf_split_puts_only_shallow_states_in_dense_rows() {
-        // "abc"/"abd"/"xy": root + first letters {a, x} are dense; the
-        // four deeper states (ab, abc, abd, xy) live on the sparse
-        // shelf, and only "ab" has outgoing edges there.
+    fn match_states_are_numbered_last_in_premultiplied_rows() {
+        // "abc"/"abd"/"xy" use six distinct bytes, plus the class every
+        // other byte shares: seven columns. Seven states (root, a, ab,
+        // abc, abd, x, xy), of which the three pattern ends report.
         let ac = AhoCorasick::new(["abc", "abd", "xy"]);
-        assert_eq!(ac.dense_states, 3, "{ac:?}");
-        assert_eq!(ac.out_start.len() - 1, 7, "{ac:?}");
-        assert_eq!(ac.sparse_fail.len(), 4);
-        assert_eq!(ac.sparse_bytes.len(), 2);
-        // Sparse edge runs are sorted by byte within each state.
-        for w in 0..ac.sparse_idx.len() - 1 {
-            let run = &ac.sparse_bytes[ac.sparse_idx[w] as usize..ac.sparse_idx[w + 1] as usize];
-            assert!(run.windows(2).all(|p| p[0] < p[1]), "unsorted run {run:?}");
+        assert_eq!(ac.stride, 7, "{ac:?}");
+        assert_eq!(ac.table.len(), 7 * 7, "{ac:?}");
+        assert_eq!(ac.match_base, 4 * 7, "{ac:?}");
+        assert_eq!(ac.out_start.len() - 1, 3, "{ac:?}");
+        assert_eq!(ac.classes[b'z' as usize], ac.classes[0xFF]);
+        assert_ne!(ac.classes[b'a' as usize], ac.classes[b'b' as usize]);
+        // Every entry is a premultiplied state id.
+        for &t in &ac.table {
+            assert_eq!(t as usize % ac.stride, 0, "entry {t} is not a row start");
+            assert!((t as usize) < ac.table.len(), "entry {t} is past the table");
+        }
+        // Every state past the base has an output range, and each
+        // reports at least one pattern.
+        let rows = ac.table.len() / ac.stride;
+        let past_base = rows - ac.match_base as usize / ac.stride;
+        assert_eq!(past_base, ac.out_start.len() - 1);
+        for s in (ac.match_base as usize..ac.table.len()).step_by(ac.stride) {
+            assert!(
+                !ac.outputs(s as u32).is_empty(),
+                "match state {s} is silent"
+            );
+        }
+        // The root (id 0) reports nothing without an empty pattern.
+        assert!(ac.match_base > 0);
+        // A byte no pattern uses steps every state back to the root.
+        for s in (0..ac.table.len()).step_by(ac.stride) {
+            assert_eq!(ac.table[s + ac.classes[b'q' as usize] as usize], 0);
         }
     }
 
     #[test]
-    fn deep_failure_chains_cross_the_shelf_boundary() {
-        // Matching "aaab" forces misses deep on the sparse shelf that
-        // must fall through several sparse failure links before a dense
-        // row answers.
+    fn empty_pattern_makes_every_state_a_match_state() {
+        let ac = AhoCorasick::new(["", "ab"]);
+        assert_eq!(ac.match_base, 0, "{ac:?}");
+        assert_eq!(ac.out_start.len() - 1, ac.table.len() / ac.stride);
+    }
+
+    #[test]
+    fn all_256_bytes_in_patterns_need_no_shared_class() {
+        let every: Vec<u8> = (0..=255).collect();
+        let ac = AhoCorasick::new([every.as_slice()]);
+        assert_eq!(ac.stride, 256, "{ac:?}");
+        let mut hits = 0;
+        ac.scan(&every, |_| hits += 1);
+        assert_eq!(hits, 1);
+    }
+
+    #[test]
+    fn deep_failure_chains_fold_into_the_table() {
+        // Matching "aaab" forces misses deep in the trie whose answer
+        // sits several failure links down; the table folds them all.
         let pats = ["aaaa", "aab", "ab", "b"];
         for hay in ["aaab", "aaaaaaab", "aaaxaab", "bbbb", "xaxbxaaaax"] {
             assert_eq!(ac_hits(&pats, hay), naive_hits(&pats, hay), "{hay:?}");
@@ -541,22 +527,48 @@ mod tests {
 
     #[test]
     fn random_pattern_sets_agree_with_contains() {
-        // Small alphabet maximizes shared prefixes and failure-chain
-        // traffic between the shelves.
-        sclog_testkit::check("shelf automaton ≡ contains", |g| {
-            let alphabet = [b'a', b'b', b'c'];
-            let pats: Vec<String> = g.vec(1..=8, |g| {
-                let n = g.usize_in(1..=6);
+        // Patterns are drawn from a small alphabet of atoms (shared
+        // prefixes and long failure chains), including multi-byte UTF-8
+        // sequences that share a lead byte, raw bytes >= 0x80 and the
+        // empty pattern. Haystacks add atoms no pattern uses, among
+        // them a lone UTF-8 lead byte. Every occurrence counts.
+        let pattern_atoms: [&[u8]; 7] = [
+            b"a",
+            b"b",
+            b"c",
+            "\u{ef}".as_bytes(),
+            "\u{e9}".as_bytes(),
+            &[0x80],
+            &[0xFF],
+        ];
+        let hay_atoms: Vec<&[u8]> = pattern_atoms
+            .iter()
+            .copied()
+            .chain([b"x".as_slice(), &[0xFE], &[0xC3], &[0x00]])
+            .collect();
+        sclog_testkit::check("table automaton counts every occurrence", |g| {
+            let pats: Vec<Vec<u8>> = g.vec(1..=8, |g| {
+                let n = if g.chance(0.1) { 0 } else { g.usize_in(1..=4) };
                 (0..n)
-                    .map(|_| *g.pick(&alphabet) as char)
-                    .collect::<String>()
+                    .flat_map(|_| g.pick(&pattern_atoms).to_vec())
+                    .collect()
             });
-            let pat_refs: Vec<&str> = pats.iter().map(String::as_str).collect();
             let n = g.usize_in(0..=40);
-            let hay: String = (0..n).map(|_| *g.pick(&alphabet) as char).collect();
+            let hay: Vec<u8> = (0..n).flat_map(|_| g.pick(&hay_atoms).to_vec()).collect();
+            let ac = AhoCorasick::new(&pats);
+            let mut got = vec![0usize; pats.len()];
+            ac.scan(&hay, |id| got[id as usize] += 1);
+            let want: Vec<usize> = pats
+                .iter()
+                .map(|p| match p.len() {
+                    0 => hay.len() + 1,
+                    k => hay.windows(k).filter(|w| w == p).count(),
+                })
+                .collect();
+            assert_eq!(got, want, "patterns {pats:?} haystack {hay:?}");
             assert_eq!(
-                ac_hits(&pat_refs, &hay),
-                naive_hits(&pat_refs, &hay),
+                ac.is_match(&hay),
+                want.iter().any(|&c| c > 0),
                 "patterns {pats:?} haystack {hay:?}"
             );
         });

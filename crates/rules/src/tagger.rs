@@ -172,7 +172,7 @@ impl TagScratch {
 /// granularity by whoever owns the scratch. Together they turn the
 /// prescan's design claim into an observed ratio: of `lines` tagged,
 /// `gated_out` never ran a single regex, and the rest cost `vm_execs`
-/// Pike-VM executions for `matches` hits.
+/// candidate rule checks for `matches` hits.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TagCounts {
     /// Lines run through the tag loop.
@@ -182,7 +182,11 @@ pub struct TagCounts {
     /// Lines the Aho-Corasick gate rejected outright (no candidate
     /// rule, so no regex ran at all).
     pub gated_out: u64,
-    /// Individual rule-regex (Pike VM) executions.
+    /// Candidate rule checks: every rule the prescan let through and
+    /// the loop evaluated, whichever tier answered it (literal
+    /// containment, the lazy DFA or the Pike VM). The tagger bench
+    /// reports it as `rule_checks`; `vm_eligible` counts the regex
+    /// evaluations inside them that needed an automaton.
     pub vm_execs: u64,
     /// Lines that matched some rule (i.e. produced an alert).
     pub matches: u64,

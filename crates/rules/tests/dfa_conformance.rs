@@ -7,9 +7,10 @@
 
 use sclog_rules::catalog::{catalog, example_body};
 use sclog_rules::re::Regex;
-use sclog_rules::{DfaCache, DfaProgram, RuleExpr, RuleSet, TagScratch};
-use sclog_testkit::check;
-use sclog_types::{CategoryRegistry, ALL_SYSTEMS};
+use sclog_rules::{parse_ruleset, DfaCache, DfaProgram, RuleExpr, RuleSet, TagScratch};
+use sclog_testkit::{check, Gen};
+use sclog_types::{CategoryRegistry, SystemId, ALL_SYSTEMS};
+use std::cell::Cell;
 
 /// Collects the regex pattern literals of a rule expression, in
 /// source order.
@@ -285,4 +286,120 @@ fn sampled_lines_tag_identically_across_cache_bounds() {
             );
         });
     }
+}
+
+/// Patterns whose verdicts depend on how non-ASCII text is stepped:
+/// `.` and negated classes consume one char in the VM but would
+/// consume one byte of a multi-byte char in a byte automaton, and
+/// anchors then decide whether the length mismatch shows.
+const STEPPING_PATTERNS: [&str; 12] = [
+    "^a.b$",
+    "a.b",
+    "a..b",
+    "a[^x]b",
+    "[^a-z ]",
+    "x.*y$",
+    "ab+c",
+    "(ab|cd)+e",
+    "^[a-c]*$",
+    "b$",
+    "^.$",
+    "^$",
+];
+
+/// A seeded line over a few ASCII letters with non-ASCII chars at
+/// random positions, often right after a prefix that starts a match
+/// of one of [`STEPPING_PATTERNS`].
+fn stepping_line(g: &mut Gen) -> String {
+    const ASCII: [&str; 7] = ["a", "b", "c", "d", "e", "x", " "];
+    const WIDE: [&str; 5] = ["\u{ef}", "\u{e9}", "\u{20ac}", "\u{fffd}", "\u{1f600}"];
+    const PARTIAL: [&str; 6] = ["a", "ab", "abb", "cd", "x", "a "];
+    let mut line = String::new();
+    for _ in 0..g.usize_in(0..=8) {
+        match g.usize_in(0..=4) {
+            0 => line.push_str(g.pick::<&str>(&WIDE)),
+            1 => {
+                line.push_str(g.pick::<&str>(&PARTIAL));
+                line.push_str(g.pick::<&str>(&WIDE));
+            }
+            _ => line.push_str(g.pick::<&str>(&ASCII)),
+        }
+    }
+    line
+}
+
+#[test]
+fn tiny_caches_agree_with_vm_on_non_ascii_lines() {
+    // The fixed case first: `.` must take all of `ï`, so the DFA may
+    // not answer from its bytes.
+    let re = Regex::new("^a.b$").unwrap();
+    let prog = DfaProgram::new(&re).unwrap();
+    assert!(re.is_match("a\u{ef}b"));
+    assert_eq!(DfaCache::new().matches(&prog, "a\u{ef}b"), None);
+
+    let resolved = Cell::new(0u64);
+    let bailed = Cell::new(0u64);
+    check("lazy DFA == Pike VM, 1-3 states, non-ASCII", |g| {
+        let pat = *g.pick(&STEPPING_PATTERNS);
+        let re = Regex::new(pat).unwrap();
+        let prog = DfaProgram::new(&re).expect("small programs determinize");
+        let bound = g.usize_in(1..=3);
+        let mut cache = DfaCache::with_max_states(bound);
+        // Several lines through one cache, so states and evictions
+        // carry over from line to line.
+        for _ in 0..4 {
+            let line = stepping_line(g);
+            match cache.matches(&prog, &line) {
+                Some(verdict) => {
+                    resolved.set(resolved.get() + 1);
+                    assert_eq!(
+                        verdict,
+                        re.is_match(&line),
+                        "{bound}-state DFA and VM disagree: /{pat}/ on {line:?}"
+                    );
+                }
+                None => bailed.set(bailed.get() + 1),
+            }
+            assert!(cache.state_count() <= bound, "bound violated: /{pat}/");
+        }
+    });
+    assert!(resolved.get() > 0 && bailed.get() > 0);
+}
+
+#[test]
+fn tiny_cache_rulesets_tag_non_ascii_lines_like_the_oracle() {
+    let text: String = STEPPING_PATTERNS
+        .iter()
+        .enumerate()
+        .map(|(i, pat)| format!("R{i} H /{pat}/\n"))
+        .collect();
+    let defs = parse_ruleset(&text).unwrap();
+    let rulesets: Vec<RuleSet> = (1..=3)
+        .map(|bound| {
+            RuleSet::from_defs(SystemId::Liberty, &defs, &mut CategoryRegistry::new())
+                .with_dfa_cache_states(bound)
+        })
+        .collect();
+    let oracle = &rulesets[0];
+    assert!(oracle
+        .tag_line_with("a\u{ef}b", &mut TagScratch::new())
+        .is_some());
+    check("tiny-cache tagging == unfiltered, non-ASCII", |g| {
+        let rules = g.pick(&rulesets);
+        let mut scratch = TagScratch::new();
+        for _ in 0..4 {
+            let line = stepping_line(g);
+            assert_eq!(
+                rules.tag_line_with(&line, &mut scratch),
+                oracle.tag_line_unfiltered(&line),
+                "tag diverged on {line:?}"
+            );
+        }
+        let counts = scratch.take_counts();
+        assert_eq!(
+            counts.vm_eligible,
+            counts.dfa_execs + counts.dfa_bailouts,
+            "tier accounting leaked"
+        );
+    });
 }

@@ -10,9 +10,10 @@
 # their samples inside the harness, but numbers from a loaded host
 # still wander — rerun and compare before trusting a small delta.
 #
-# BENCH_tagger.json carries two non-timing record types alongside the
-# per-arm timings:
-#   {"record":"tiers"}            one per system, from a counted serial
+# BENCH_tagger.json carries three non-timing record types alongside
+# the per-arm timings:
+#   {"record":"tiers"}            one per group (spirit, liberty,
+#                                 spirit_live), from a counted serial
 #                                 pass: lines, prefilter_gated,
 #                                 rule_checks, vm_eligible,
 #                                 dfa_resolved, vm_fallback,
@@ -30,6 +31,13 @@
 #                                 than one CPU, so a single-core ratio
 #                                 is never mistaken for a parallelism
 #                                 measurement
+#   {"record":"prescan_split"}    the Spirit live group's split: the
+#                                 tag_line_with pass (serial_prefiltered)
+#                                 and the prescan-only pass (prescan:
+#                                 AhoCorasick::scan over the catalog's
+#                                 required factors) on the same lines,
+#                                 each in ns/byte, and prescan_share,
+#                                 their ratio; the rest is confirmation
 # The brute-force all-rules path is timed serially only
 # (serial_brute).
 #

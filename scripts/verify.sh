@@ -12,7 +12,8 @@
 #                                    (scripts/tidy.sh), the static
 #                                    rule-catalog audit checked against
 #                                    the committed AUDIT.json snapshot,
-#                                    and clippy over every target
+#                                    clippy over every target, and a
+#                                    build of perfbench
 #   scripts/verify.sh --bench-smoke  only the bench smoke: run the
 #                                    tagger and pipeline benches at
 #                                    minimal sample counts to prove the
@@ -79,6 +80,11 @@ lint() {
     cargo run -q --offline --release -p sclog-audit -- --check AUDIT.json
     echo "== clippy (every target, warnings denied by the exported -Dwarnings)"
     cargo clippy -q --offline --workspace --all-targets
+    # perfbench is a workspace of its own, so no step above compiles
+    # it; building it here makes an API change that breaks it fail the
+    # lint gate instead of the next benchmark run.
+    echo "== cargo build perfbench (the end-to-end benchmark, its own workspace)"
+    cargo build -q --offline --manifest-path perfbench/Cargo.toml
 }
 
 bench_smoke() {
@@ -89,9 +95,11 @@ bench_smoke() {
     # an order of magnitude of its captured speed (hundreds of
     # ns/element; see BENCH_tagger.json). The generous 25000 ns/elem
     # ceiling only trips on a catastrophic regression — e.g. the
-    # prescan or DFA tier silently disabled — not on host jitter.
+    # prescan or DFA tier silently disabled — not on host jitter. All
+    # three groups must report, the alert-heavy Spirit live group with
+    # its prescan arm and prescan/confirmation split too.
     echo "$tagger_out" | awk '
-        /"name":"tagger_[a-z]+\/serial_prefiltered"/ {
+        /"name":"tagger_[a-z_]+\/serial_prefiltered"/ {
             if (match($0, /"median_ns_per_element":[0-9.]+/)) {
                 v = substr($0, RSTART + 24, RLENGTH - 24) + 0
                 seen += 1
@@ -101,9 +109,16 @@ bench_smoke() {
                 }
             }
         }
+        /"name":"tagger_spirit_live\/serial_prefiltered"/ { live = 1 }
+        /"name":"tagger_spirit_live\/prescan"/ { prescan = 1 }
+        /"record":"prescan_split"/ { psplit = 1 }
         END {
-            if (seen < 2) {
-                printf "bench-smoke FAILED: expected 2 serial_prefiltered records, saw %d\n", seen
+            if (seen < 3) {
+                printf "bench-smoke FAILED: expected 3 serial_prefiltered records, saw %d\n", seen
+                exit 1
+            }
+            if (!live || !prescan || !psplit) {
+                print "bench-smoke FAILED: tagger_spirit_live records (serial_prefiltered, prescan, prescan_split) missing"
                 exit 1
             }
         }'
